@@ -18,11 +18,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,16 +34,13 @@ from .diagnostics import RunningMean, log_loss_binary, log_loss_multiclass, mome
 from .errors import (
     ConfigError,
     CsvFormatError,
-    DegenerateChain,
     DomainError,
     GradmcError,
     NumericalDivergence,
-    ShapeError,
-    UnknownVariable,
     UnsupportedForKL,
 )
 from .models import FAMILIES, gaussian_posterior, nn_forward, gen_synth
-from .samplers import SamplerConfig, run_chain
+from .samplers import ALGORITHMS, SamplerConfig, run_chain
 
 TEST_FUNCTIONS = ("full-chain", "log-loss", "running-mean")
 
@@ -113,11 +112,15 @@ def _parse_stepsize(entries) -> float | dict:
             part = part.strip()
             if not part:
                 continue
+            name, _, value = part.rpartition("=")
+            try:
+                value = float(value)
+            except ValueError:
+                raise ConfigError(f"stepsize {part!r} is not a number") from None
             if "=" in part:
-                name, _, value = part.partition("=")
-                named[name.strip()] = float(value)
+                named[name.strip()] = value
             else:
-                scalars.append(float(part))
+                scalars.append(value)
     if named and scalars:
         raise ConfigError("mix of scalar and per-parameter stepsizes")
     if named:
@@ -139,61 +142,6 @@ def _resolve_burnin(args_burnin, algorithm, n_iters) -> int:
     return min(max(burnin, 0), n_iters)
 
 
-def _chain_layout(model):
-    layout = []
-    for name in model.param_names:
-        size = int(np.prod(model.param_shapes[name])) if model.param_shapes[name] else 1
-        layout.append((name, size))
-    return layout
-
-
-def _write_chain_csv(path, layout, start_params, samples, n_iters, burnin, thin):
-    header = ["iter"]
-    for name, size in layout:
-        header.extend(f"{name}.{j}" for j in range(size))
-    rows = [0] + [t for t in range(1, n_iters + 1) if t > burnin and t % thin == 0]
-    with open(path, "w", newline="") as handle:
-        handle.write("# parameter columns are row-major flattened: <name>.<flat-index>\n")
-        handle.write(",".join(header) + "\n")
-        for t in rows:
-            fields = [str(t)]
-            for name, size in layout:
-                value = start_params[name] if t == 0 else samples[name][t - 1]
-                fields.extend(f"{v:.17g}" for v in np.ravel(value))
-            handle.write(",".join(fields) + "\n")
-
-
-def _read_chain_csv(path):
-    iters = []
-    columns = None
-    values = []
-    with open(path) as handle:
-        lineno = 0
-        for line in handle:
-            lineno += 1
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if columns is None:
-                if fields[0] != "iter":
-                    raise CsvFormatError(f"{path}:{lineno}: first column must be 'iter'")
-                columns = fields[1:]
-                continue
-            if len(fields) != len(columns) + 1:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected {len(columns) + 1} fields, got {len(fields)}"
-                )
-            try:
-                iters.append(int(float(fields[0])))
-                values.append([float(f) for f in fields[1:]])
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-    if columns is None:
-        raise CsvFormatError(f"{path}:1: empty chain file")
-    return np.asarray(iters), columns, np.asarray(values, dtype=np.float64)
-
-
 def _log_loss_fn(meta, model, test: Dataset):
     kind = FAMILIES[meta["model"]].label_kind
     if kind == "binary":
@@ -205,12 +153,23 @@ def _log_loss_fn(meta, model, test: Dataset):
     return None
 
 
-def _run_one_chain(model, train, init_params, config, rng, test_function, log_loss):
-    if test_function == "running-mean":
-        return run_chain(model, train, init_params, config, hook=RunningMean(), rng=rng)
-    if test_function == "log-loss":
-        return run_chain(model, train, init_params, config, hook=log_loss, rng=rng)
-    return run_chain(model, train, init_params, config, rng=rng)
+class _Table(NamedTuple):
+    """One CSV per chain: its header, the iterations it keeps, and their values."""
+
+    stem: str
+    comment: str | None
+    columns: list[str]
+    keep: Callable[[int], bool]
+    value: Callable[[dict], Sequence[float]]
+
+
+def _write_table(path, table: _Table, rows: dict) -> None:
+    with open(path, "w", newline="") as handle:
+        if table.comment:
+            handle.write(table.comment + "\n")
+        handle.write(",".join(["iter", *table.columns]) + "\n")
+        for t in sorted(rows):
+            handle.write(",".join([str(t), *(f"{v:.17g}" for v in rows[t])]) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -244,8 +203,6 @@ def cmd_run(args) -> int:
     thin = int(args.thin)
     if thin < 1:
         raise ConfigError("thinning interval must be at least 1")
-    if args.test_function not in TEST_FUNCTIONS:
-        raise ConfigError(f"test function must be one of {TEST_FUNCTIONS}")
     n_chains = int(args.chains)
     if n_chains < 1:
         raise ConfigError("--chains must be at least 1")
@@ -253,6 +210,27 @@ def cmd_run(args) -> int:
     log_loss = _log_loss_fn(meta, model, test) if test is not None else None
     if args.test_function == "log-loss" and log_loss is None:
         raise ConfigError("log-loss test function needs a classification model and a test split")
+
+    columns = [
+        f"{name}.{j}"
+        for name in model.param_names
+        for j in range(int(np.prod(model.param_shapes[name])))
+    ]
+
+    def flat(params):
+        return np.concatenate([np.ravel(params[name]) for name in model.param_names])
+
+    chain = _Table("chain", "# parameter columns are row-major flattened: <name>.<flat-index>",
+                   columns, lambda t: t == 0 or (t > burnin and t % thin == 0), flat)
+    loss = _Table("logloss", None, ["log_loss"], lambda t: t % thin == 0,
+                  lambda params: [log_loss(params)])
+    mean = _Table("running_mean", "# running posterior means; columns <name>.<flat-index>",
+                  columns, lambda t: t > 0 and (t % thin == 0 or t == config.n_iters), flat)
+    tables = {
+        "full-chain": [chain] if log_loss is None else [chain, loss],
+        "log-loss": [loss],
+        "running-mean": [mean],
+    }[args.test_function]
 
     root = Rng(config.seed)
     init_params = family.init_params(model, root)
@@ -262,7 +240,22 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def run_one(rng):
-        return _run_one_chain(model, train, init_params, config, rng, args.test_function, log_loss)
+        # The hook counts iterations and evaluates a table only at the rows it
+        # keeps; the running mean is folded on every step.
+        rows = {table.stem: {} for table in tables}
+        fold = RunningMean() if args.test_function == "running-mean" else None
+        count = itertools.count(1)
+
+        def record(t, params):
+            for table in tables:
+                if table.keep(t):
+                    rows[table.stem][t] = table.value(params)
+
+        def hook(params):
+            record(next(count), params if fold is None else fold(params))
+
+        record(0, run_chain(model, train, init_params, config, hook=hook, rng=rng).start_params)
+        return rows
 
     if n_chains == 1:
         outputs = [run_one(chain_rngs[0])]
@@ -270,56 +263,13 @@ def cmd_run(args) -> int:
         with ThreadPoolExecutor(max_workers=n_chains) as pool:
             outputs = list(pool.map(run_one, chain_rngs))
 
-    layout = _chain_layout(model)
     files = {}
-    for i, output in enumerate(outputs):
+    for i, rows in enumerate(outputs):
         suffix = "" if n_chains == 1 else f".{i}"
-        if args.test_function == "full-chain":
-            chain_path = out / f"chain{suffix}.csv"
-            _write_chain_csv(
-                chain_path, layout, output.start_params, output.samples,
-                config.n_iters, burnin, thin,
-            )
-            files[f"chain{suffix}"] = chain_path.name
-            if log_loss is not None:
-                trace_path = out / f"logloss{suffix}.csv"
-                with open(trace_path, "w", newline="") as handle:
-                    handle.write("iter,log_loss\n")
-                    for t in [0] + [t for t in range(1, config.n_iters + 1) if t % thin == 0]:
-                        params = (
-                            output.start_params
-                            if t == 0
-                            else {name: output.samples[name][t - 1] for name, _ in layout}
-                        )
-                        handle.write(f"{t},{log_loss(params):.17g}\n")
-                files[f"logloss{suffix}"] = trace_path.name
-        elif args.test_function == "log-loss":
-            trace_path = out / f"logloss{suffix}.csv"
-            with open(trace_path, "w", newline="") as handle:
-                handle.write("iter,log_loss\n")
-                handle.write(f"0,{log_loss(output.start_params):.17g}\n")
-                for t in range(1, config.n_iters + 1):
-                    if t % thin == 0:
-                        handle.write(f"{t},{output.hook_values[t - 1]:.17g}\n")
-            files[f"logloss{suffix}"] = trace_path.name
-        else:  # running-mean
-            mean_path = out / f"running_mean{suffix}.csv"
-            header = ["iter"]
-            for name, size in layout:
-                header.extend(f"{name}.{j}" for j in range(size))
-            rows = [t for t in range(1, config.n_iters + 1) if t % thin == 0]
-            if config.n_iters >= 1 and config.n_iters not in rows:
-                rows.append(config.n_iters)
-            with open(mean_path, "w", newline="") as handle:
-                handle.write("# running posterior means; columns <name>.<flat-index>\n")
-                handle.write(",".join(header) + "\n")
-                for t in rows:
-                    means = output.hook_values[t - 1]
-                    fields = [str(t)]
-                    for name, _ in layout:
-                        fields.extend(f"{v:.17g}" for v in np.ravel(means[name]))
-                    handle.write(",".join(fields) + "\n")
-            files[f"running_mean{suffix}"] = mean_path.name
+        for table in tables:
+            path = out / f"{table.stem}{suffix}.csv"
+            _write_table(path, table, rows[table.stem])
+            files[table.stem + suffix] = path.name
 
     elapsed = time.perf_counter() - started
     manifest = {
@@ -365,12 +315,11 @@ def cmd_kl(args) -> int:
         raise UnsupportedForKL(
             f"KL reporting needs the gaussian model's analytic posterior, got {meta['model']!r}"
         )
-    iters, columns, values = _read_chain_csv(chain_path)
-    theta_cols = [i for i, c in enumerate(columns) if c.split(".")[0] == "theta"]
-    if not theta_cols:
-        raise CsvFormatError(f"{chain_path}: no theta columns found")
-    keep = iters > 0
-    draws = values[keep][:, theta_cols]
+    chain = load_csv_columns(chain_path)
+    if "iter" not in chain or "theta" not in chain:
+        raise CsvFormatError(f"{chain_path}: a chain file needs iter and theta columns")
+    theta = chain["theta"] if chain["theta"].ndim == 2 else chain["theta"][:, None]
+    draws = theta[chain["iter"] > 0]
     if draws.shape[0] < 2:
         raise DomainError("need at least 2 post-initial chain rows for moment matching")
     fit = moment_match(draws)
@@ -407,24 +356,36 @@ def _load_config_file(path) -> dict:
     return values
 
 
-_FILE_KEY_TYPES = {
-    "algorithm": str,
-    "stepsize": lambda v: [v],
-    "minibatch_size": float,
-    "n_iters": int,
-    "burnin": int,
-    "seed": int,
-    "friction": float,
-    "diffusion": float,
-    "trajectory_length": int,
-    "opt_stepsize": float,
-    "opt_iters": int,
-    "test_function": str,
-    "thin": int,
-    "chains": int,
-    "data": str,
-    "out": str,
-}
+def _config_defaults(run_parser, path) -> dict:
+    """Run-parser defaults from a key = value file.
+
+    Every key must be the name of a run flag (``n_iters`` or ``n-iters`` for
+    ``--n-iters``), and the run parser converts and checks every value just
+    as it does the flag, so the file and the command line share one set of
+    names, types and choices.
+    """
+    raw = _load_config_file(path)
+    known = set(vars(run_parser.parse_args([]))) - {"config", "func"}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r} in {path}")
+    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in raw.items()]
+    try:
+        parsed = run_parser.parse_args(tokens)
+    except SystemExit:  # argparse has already printed what is wrong
+        raise ConfigError(f"bad value in config file {path}") from None
+    return {key: getattr(parsed, key) for key in raw}
+
+
+class _StepsizeAction(argparse.Action):
+    """Collects repeated ``--stepsize`` entries.  The first flag replaces a
+    value taken from the config file instead of adding to it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        entries = getattr(namespace, self.dest)
+        if entries is None or entries is self.default:
+            entries = []
+        setattr(namespace, self.dest, [*entries, values])
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -450,10 +411,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run.add_argument("--config", default=None, help="key = value file; flags override it")
     run.add_argument("--data", help="directory produced by gen")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--algorithm", choices=("sgld", "sghmc", "sgnht", "sgldcv", "sghmccv", "sgnhtcv"))
+    run.add_argument("--algorithm", choices=ALGORITHMS)
     run.add_argument(
         "--stepsize",
-        action="append",
+        action=_StepsizeAction,
         help="scalar, or repeated name=value entries for per-parameter stepsizes",
     )
     run.add_argument("--minibatch-size", type=float, default=0.01,
@@ -484,32 +445,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, run_parser = build_parser()
 
-    # A config file provides defaults; explicit flags override them.
-    if argv[:1] == ["run"] and "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            path = argv[idx + 1]
-        except IndexError:
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
-        try:
-            raw = _load_config_file(path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        defaults = {}
-        for key, value in raw.items():
-            if key not in _FILE_KEY_TYPES:
-                print(f"error: unknown config key {key!r} in {path}", file=sys.stderr)
-                return 2
-            defaults[key] = _FILE_KEY_TYPES[key](value)
-        run_parser.set_defaults(**defaults)
-
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            # A config file provides defaults; explicit flags override them.
+            run_parser.set_defaults(**_config_defaults(run_parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericalDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -517,8 +458,7 @@ def main(argv=None) -> int:
     except (OSError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, DomainError, ShapeError, UnknownVariable,
-            UnsupportedForKL, DegenerateChain, GradmcError) as exc:
+    except GradmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

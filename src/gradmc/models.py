@@ -251,11 +251,13 @@ def _init_standard_normal(model, rng: Rng) -> dict:
 
 
 def _init_bayes_nn(model, rng: Rng) -> dict:
+    # Weights are standard normal draws in sorted name order.  Every precision
+    # starts at 1, the Gamma(1, 1) prior mean: a random start near 0 lets the
+    # first momentum step push it negative.
     params = {}
     for name, shape in sorted(model.param_shapes.items()):
         if name.startswith("lambda_"):
-            # Gamma(1, 1) draw by inverse CDF of the exponential.
-            params[name] = np.asarray(-np.log(rng.uniform(())))
+            params[name] = np.asarray(1.0)
         else:
             params[name] = rng.standard_normal(shape)
     return params

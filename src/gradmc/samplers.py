@@ -18,6 +18,7 @@ comparable across runs that differ only in dataset size.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -379,14 +380,8 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     return state
 
 
-_KERNELS = {
-    "sgld": sgld_step,
-    "sgldcv": sgld_step,
-    "sghmc": sghmc_step,
-    "sghmccv": sghmc_step,
-    "sgnht": sgnht_step,
-    "sgnhtcv": sgnht_step,
-}
+# Kernel per family; a control-variate algorithm is its family plus "cv".
+_KERNELS = {"sgld": sgld_step, "sghmc": sghmc_step, "sgnht": sgnht_step}
 
 
 def find_mode(
@@ -433,6 +428,7 @@ class SamplerHandle:
         self.config = config
         self.initial_params = model.check_params(initial_params)
         self._rng = rng if rng is not None else Rng(config.seed)
+        self._substreams: list[Rng] | None = None
         self.state: ChainState | None = None
         self.cv: ControlVariateState | None = None
 
@@ -444,12 +440,19 @@ class SamplerHandle:
         """Initialize the chain state; for CV algorithms this runs the mode
         search and the full-data gradient pass, and starts the chain there."""
         config = self.config
+        # The (batch, noise) pair is spawned once per handle and every init()
+        # restarts fresh copies of it, so a re-initialised chain repeats itself.
+        if self._substreams is None:
+            self._substreams = self._rng.spawn(2)
+        rng_batch, rng_noise = (copy.deepcopy(stream) for stream in self._substreams)
         state = ChainState(
             params={name: arr.copy() for name, arr in self.initial_params.items()},
             momenta=None,
             thermostats=None,
             iteration=0,
             rng=self._rng,
+            rng_batch=rng_batch,
+            rng_noise=rng_noise,
         )
         if self.is_cv:
             opt_iters = config.opt_iters if config.opt_iters is not None else config.n_iters
@@ -465,12 +468,12 @@ class SamplerHandle:
             full = full_log_posterior_grad(self.model, self.dataset, mode)
             self.cv = ControlVariateState(mode_params=mode, full_grad=full)
             state.params = {name: arr.copy() for name, arr in mode.items()}
-        algorithm = config.algorithm
-        if algorithm in ("sghmc", "sghmccv"):
+        family = config.algorithm.removesuffix("cv")
+        if family == "sghmc":
             state.momenta = {
                 name: np.zeros(shape) for name, shape in self.model.param_shapes.items()
             }
-        elif algorithm in ("sgnht", "sgnhtcv"):
+        elif family == "sgnht":
             steps = config.resolved_stepsizes(self.model.param_names)
             state.momenta = {}
             for name in self.model.param_names:
@@ -485,7 +488,7 @@ class SamplerHandle:
         """Advance the chain by exactly one stored kernel update."""
         if self.state is None:
             raise LifecycleError("sampler stepped before init()")
-        _KERNELS[self.config.algorithm](
+        _KERNELS[self.config.algorithm.removesuffix("cv")](
             self.state, self.model, self.dataset, self.config, cv=self.cv
         )
 

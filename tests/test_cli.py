@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import gradmc.cli
 from gradmc import gaussian_posterior
 from gradmc.cli import main
 from gradmc.data import load_csv_columns
@@ -167,6 +168,47 @@ def test_run_bayes_nn_multiclass_log_loss_trace(tmp_path):
     assert not (out / "chain.csv").exists()  # log-loss mode stores only the trace
 
 
+@pytest.fixture(scope="module")
+def nn_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("nn")
+    assert run_cli("gen", "bayes_nn", "--d", 6, "--hidden", 4, "--classes", 3,
+                   "--n", 400, "--seed", 4, "--n-test", 100, "--out", out) == 0
+    return out
+
+
+def test_run_log_loss_computed_only_at_written_rows(nn_data, tmp_path, monkeypatch):
+    calls = []
+    original = gradmc.cli.log_loss_multiclass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gradmc.cli, "log_loss_multiclass", counting)
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", nn_data, "--algorithm", "sgld", "--stepsize", "1e-5",
+                   "--minibatch-size", 50, "--n-iters", 40, "--thin", 10, "--seed", 4,
+                   "--test-function", "log-loss", "--out", out) == 0
+    assert len(calls) == 5  # rows 0, 10, 20, 30 and 40
+    trace = np.loadtxt(out / "logloss.csv", delimiter=",", skiprows=1)
+    assert trace[:, 0].astype(int).tolist() == [0, 10, 20, 30, 40]
+
+
+def test_run_full_chain_and_log_loss_modes_write_the_same_trace(nn_data, tmp_path):
+    common = ["run", "--data", nn_data, "--algorithm", "sghmc", "--stepsize", "1e-5",
+              "--minibatch-size", 50, "--n-iters", 35, "--burnin", 12, "--thin", 4,
+              "--seed", 7]
+    full, loss = tmp_path / "full", tmp_path / "loss"
+    assert run_cli(*common, "--out", full) == 0
+    assert run_cli(*common, "--test-function", "log-loss", "--out", loss) == 0
+    assert (full / "logloss.csv").read_bytes() == (loss / "logloss.csv").read_bytes()
+    # the trace ignores burn-in, the chain does not
+    trace = np.loadtxt(loss / "logloss.csv", delimiter=",", skiprows=1)
+    assert trace[:, 0].astype(int).tolist() == list(range(0, 36, 4))
+    _, rows = read_chain(full / "chain.csv")
+    assert rows[:, 0].astype(int).tolist() == [0, 16, 20, 24, 28, 32]
+
+
 def test_run_running_mean_mode(mixture_data, tmp_path):
     out = tmp_path / "rm"
     assert run_cli("run", "--data", mixture_data, "--algorithm", "sgld",
@@ -204,12 +246,42 @@ def test_run_config_file_with_flag_override(gaussian_data, tmp_path):
     assert json.loads((out_b / "manifest.json").read_text())["seed"] == 6
 
 
+def test_run_stepsize_flag_replaces_config_file_value(gaussian_data, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("algorithm = sgld\nstepsize = 1e-3\nn_iters = 20\nburnin = 0\n")
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", config, "--data", gaussian_data, "--out", out,
+                   "--stepsize", "2e-3") == 0
+    assert json.loads((out / "manifest.json").read_text())["stepsize"] == {"theta": 2e-3}
+
+
+def test_run_config_file_values_are_checked_like_flags(gaussian_data, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = "algorithm = sgld\nstepsize = 1e-3\n"
+    cases = {
+        "bad_int": (base + "n_iters = abc\n", 2),
+        "bad_choice": (base + "test_function = everything\n", 2),
+        "unknown_key": (base + "iterations = 5\n", 2),
+        "nested_config": (base + "config = other.conf\n", 2),
+    }
+    for name, (text, code) in cases.items():
+        config = tmp_path / f"{name}.conf"
+        config.write_text(text)
+        assert run_cli("run", "--config", config, "--data", gaussian_data, "--out", out) == code
+        assert str(config) in capsys.readouterr().err
+    assert run_cli("run", "--config", tmp_path / "missing.conf", "--data", gaussian_data,
+                   "--out", out) == 4
+    assert not out.exists()
+
+
 def test_run_config_errors_exit_2(mixture_data, tmp_path):
     out = tmp_path / "x"
     assert run_cli("run", "--data", mixture_data, "--algorithm", "sgldcv",
                    "--stepsize", "1e-3", "--out", out) == 2  # missing opt stepsize
     assert run_cli("run", "--data", mixture_data, "--algorithm", "sgld",
                    "--stepsize=-1e-3", "--out", out) == 2
+    assert run_cli("run", "--data", mixture_data, "--algorithm", "sgld",
+                   "--stepsize", "5e-3x", "--out", out) == 2
     assert run_cli("run", "--data", tmp_path / "missing", "--algorithm", "sgld",
                    "--stepsize", "1e-3", "--out", out) == 2  # no meta.json
 

@@ -181,6 +181,22 @@ def test_nn_rejects_non_positive_precision():
         model.check_params(params)
 
 
+def test_nn_precisions_start_at_prior_mean_and_weights_follow_the_seed():
+    # A precision drawn from Exp(1) could start within one sghmc momentum
+    # step of 0 (seed 18 drew lambda_b = 0.0009) and the chain then diverged
+    # at iteration 0; every precision now starts at the Gamma(1, 1) mean.
+    model = build_bayes_nn(20, 10, 3)
+    for seed in range(1, 41):
+        params = nn_init(model, seed)
+        weights = Rng(seed)
+        for name in sorted(model.param_shapes):
+            if name.startswith("lambda_"):
+                assert params[name].shape == () and params[name] == 1.0
+            else:
+                expected = weights.standard_normal(model.param_shapes[name])
+                np.testing.assert_array_equal(params[name], expected)
+
+
 # -- per-observation additivity -------------------------------------------------------
 
 @pytest.mark.parametrize("family", ["gaussian", "gaussian_mixture", "logistic_regression", "bayes_nn"])

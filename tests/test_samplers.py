@@ -427,6 +427,25 @@ def test_identical_handles_walk_identical_trajectories(algorithm):
     assert np.array_equal(a["theta2"], b["theta2"])
 
 
+@pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht", "sgldcv"])
+def test_second_init_repeats_the_first(algorithm):
+    # Each init() restarts the handle's minibatch and noise streams, so
+    # init, 5 steps, init, 5 steps walks the same path twice.
+    model, dataset, _ = make_gaussian_setup(n=1000, seed=1)
+    config = SamplerConfig(algorithm=algorithm, stepsize=1e-4, minibatch_size=100, seed=1,
+                           opt_stepsize=1e-4, opt_iters=20)
+    handle = sampler_setup(model, dataset, {"theta": 0.0}, config)
+    runs = []
+    for _ in range(2):
+        handle.init()
+        path = []
+        for _ in range(5):
+            handle.step()
+            path.append(handle.get_params()["theta"])
+        runs.append(path)
+    assert np.array_equal(runs[0], runs[1])
+
+
 def test_scalar_stepsize_broadcast_is_bit_identical_to_map():
     model = build_gaussian_mixture()
     x = Rng(3).standard_normal((60, 2))

@@ -343,7 +343,8 @@ def cmd_kl(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_config_file(path) -> dict:
-    values = {}
+    """Map each key of a key = value file to its (line number, value)."""
+    entries = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -352,8 +353,8 @@ def _load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            entries[key.strip().replace("-", "_")] = (lineno, value.strip())
+    return entries
 
 
 def _config_defaults(run_parser, path) -> dict:
@@ -362,19 +363,27 @@ def _config_defaults(run_parser, path) -> dict:
     Every key must be the name of a run flag (``n_iters`` or ``n-iters`` for
     ``--n-iters``), and the run parser converts and checks every value just
     as it does the flag, so the file and the command line share one set of
-    names, types and choices.
+    names, types and choices.  A bad entry is reported by file line, key and
+    value.
     """
-    raw = _load_config_file(path)
+    entries = _load_config_file(path)
     known = set(vars(run_parser.parse_args([]))) - {"config", "func"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r} in {path}")
-    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in raw.items()]
+    defaults = {}
+    run_parser.exit_on_error = False  # raise ArgumentError instead of printing usage
     try:
-        parsed = run_parser.parse_args(tokens)
-    except SystemExit:  # argparse has already printed what is wrong
-        raise ConfigError(f"bad value in config file {path}") from None
-    return {key: getattr(parsed, key) for key in raw}
+        for key, (lineno, value) in entries.items():
+            if key not in known:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                parsed = run_parser.parse_args([f"--{key.replace('_', '-')}={value}"])
+            except argparse.ArgumentError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: bad value {value!r} for {key!r}: {exc.message}"
+                ) from None
+            defaults[key] = getattr(parsed, key)
+    finally:
+        run_parser.exit_on_error = True
+    return defaults
 
 
 class _StepsizeAction(argparse.Action):

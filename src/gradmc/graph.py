@@ -8,14 +8,21 @@ building, so a finished graph cannot fail on shapes except through bad feeds.
 
 Tensors are numpy float64 arrays; scalars are rank-0.  A placeholder may leave
 its first axis open (``None``) so the same graph evaluates on batches of any
-size.  Gradients are accumulated in a single reverse pass over the node list,
-which is topologically ordered by construction.
+size.
+
+Each (objective, wrt) pair that ``Graph.grad`` sees, and each output tuple
+that ``Graph.eval`` sees, compiles once into a plan cached on the graph: the
+forward kernels of the nodes that feed the target, in node order, and the
+backward kernels of the nodes on a path from a ``wrt`` variable to the
+objective, in reverse.  Only the gradients someone consumes are computed, so
+data, constants and variables nobody asked for cost no backward work.  Plans
+are immutable, so graphs stay immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,9 +126,12 @@ class NodeRef:
 
 # ---------------------------------------------------------------------------
 # Forward / backward kernels.  Forward takes (node, values) and returns the
-# node's value; backward takes (node, values, grad) and returns one gradient
-# contribution per input (None for non-differentiable inputs such as labels).
-# Returned arrays are never mutated by the accumulator, so views are fine.
+# node's value; backward takes (node, values, grad, need) and returns one
+# gradient contribution per input (None for non-differentiable inputs such as
+# labels).  need[k] is False when no gradient flows on from input k (data,
+# constants, variables nobody asked for); kernels with more than one
+# differentiable input skip those and return None for them.  Returned arrays
+# are never mutated by the accumulator, so views are fine.
 # ---------------------------------------------------------------------------
 
 _FORWARD: dict[str, Callable] = {}
@@ -138,9 +148,10 @@ def _fwd_add(node, v):
     return v[a] + v[b]
 
 
-def _bwd_add(node, v, g):
+def _bwd_add(node, v, g, need):
     a, b = node.inputs
-    return (_unbroadcast(g, v[a].shape), _unbroadcast(g, v[b].shape))
+    return (_unbroadcast(g, v[a].shape) if need[0] else None,
+            _unbroadcast(g, v[b].shape) if need[1] else None)
 
 
 def _fwd_subtract(node, v):
@@ -148,9 +159,10 @@ def _fwd_subtract(node, v):
     return v[a] - v[b]
 
 
-def _bwd_subtract(node, v, g):
+def _bwd_subtract(node, v, g, need):
     a, b = node.inputs
-    return (_unbroadcast(g, v[a].shape), _unbroadcast(-g, v[b].shape))
+    return (_unbroadcast(g, v[a].shape) if need[0] else None,
+            _unbroadcast(-g, v[b].shape) if need[1] else None)
 
 
 def _fwd_multiply(node, v):
@@ -158,9 +170,10 @@ def _fwd_multiply(node, v):
     return v[a] * v[b]
 
 
-def _bwd_multiply(node, v, g):
+def _bwd_multiply(node, v, g, need):
     a, b = node.inputs
-    return (_unbroadcast(g * v[b], v[a].shape), _unbroadcast(g * v[a], v[b].shape))
+    return (_unbroadcast(g * v[b], v[a].shape) if need[0] else None,
+            _unbroadcast(g * v[a], v[b].shape) if need[1] else None)
 
 
 def _fwd_divide(node, v):
@@ -168,10 +181,10 @@ def _fwd_divide(node, v):
     return v[a] / v[b]
 
 
-def _bwd_divide(node, v, g):
+def _bwd_divide(node, v, g, need):
     a, b = node.inputs
-    ga = _unbroadcast(g / v[b], v[a].shape)
-    gb = _unbroadcast(-g * v[a] / (v[b] * v[b]), v[b].shape)
+    ga = _unbroadcast(g / v[b], v[a].shape) if need[0] else None
+    gb = _unbroadcast(-g * v[a] / (v[b] * v[b]), v[b].shape) if need[1] else None
     return (ga, gb)
 
 
@@ -179,7 +192,7 @@ def _fwd_negate(node, v):
     return -v[node.inputs[0]]
 
 
-def _bwd_negate(node, v, g):
+def _bwd_negate(node, v, g, need):
     return (-g,)
 
 
@@ -188,16 +201,16 @@ def _fwd_matmul(node, v):
     return v[a] @ v[b]
 
 
-def _bwd_matmul(node, v, g):
+def _bwd_matmul(node, v, g, need):
     a, b = node.inputs
-    return (g @ v[b].T, v[a].T @ g)
+    return (g @ v[b].T if need[0] else None, v[a].T @ g if need[1] else None)
 
 
 def _fwd_reduce_sum(node, v):
     return np.sum(v[node.inputs[0]])
 
 
-def _bwd_reduce_sum(node, v, g):
+def _bwd_reduce_sum(node, v, g, need):
     return (np.broadcast_to(g, v[node.inputs[0]].shape),)
 
 
@@ -205,7 +218,7 @@ def _fwd_exp(node, v):
     return np.exp(v[node.inputs[0]])
 
 
-def _bwd_exp(node, v, g):
+def _bwd_exp(node, v, g, need):
     return (g * v[node.index],)
 
 
@@ -213,7 +226,7 @@ def _fwd_log(node, v):
     return np.log(v[node.inputs[0]])
 
 
-def _bwd_log(node, v, g):
+def _bwd_log(node, v, g, need):
     return (g / v[node.inputs[0]],)
 
 
@@ -221,7 +234,7 @@ def _fwd_abs(node, v):
     return np.abs(v[node.inputs[0]])
 
 
-def _bwd_abs(node, v, g):
+def _bwd_abs(node, v, g, need):
     # sign(0) = 0: the subgradient of |x| at the kink is taken as 0.
     return (g * np.sign(v[node.inputs[0]]),)
 
@@ -231,7 +244,7 @@ def _fwd_square(node, v):
     return x * x
 
 
-def _bwd_square(node, v, g):
+def _bwd_square(node, v, g, need):
     return (2.0 * g * v[node.inputs[0]],)
 
 
@@ -239,7 +252,7 @@ def _fwd_sqrt(node, v):
     return np.sqrt(v[node.inputs[0]])
 
 
-def _bwd_sqrt(node, v, g):
+def _bwd_sqrt(node, v, g, need):
     return (0.5 * g / v[node.index],)
 
 
@@ -247,7 +260,7 @@ def _fwd_rsqrt(node, v):
     return 1.0 / np.sqrt(v[node.inputs[0]])
 
 
-def _bwd_rsqrt(node, v, g):
+def _bwd_rsqrt(node, v, g, need):
     y = v[node.index]
     return (-0.5 * g * y * y * y,)
 
@@ -264,7 +277,7 @@ def _fwd_sigmoid(node, v):
     return np.clip(out, densities.PROB_CLAMP, 1.0 - densities.PROB_CLAMP)
 
 
-def _bwd_sigmoid(node, v, g):
+def _bwd_sigmoid(node, v, g, need):
     y = v[node.index]
     return (g * y * (1.0 - y),)
 
@@ -276,7 +289,7 @@ def _fwd_softmax(node, v):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _bwd_softmax(node, v, g):
+def _bwd_softmax(node, v, g, need):
     y = v[node.index]
     inner = np.sum(g * y, axis=-1, keepdims=True)
     return (y * (g - inner),)
@@ -287,8 +300,8 @@ def _fwd_broadcast_add(node, v):
     return v[m] + v[vec]
 
 
-def _bwd_broadcast_add(node, v, g):
-    return (g, np.sum(g, axis=0))
+def _bwd_broadcast_add(node, v, g, need):
+    return (g if need[0] else None, np.sum(g, axis=0) if need[1] else None)
 
 
 def _fwd_normal(node, v):
@@ -296,12 +309,12 @@ def _fwd_normal(node, v):
     return densities.normal_logpdf(x, mean, sd)
 
 
-def _bwd_normal(node, v, g):
+def _bwd_normal(node, v, g, need):
     x, mean, sd = (v[i] for i in node.inputs)
     z = (x - mean) / sd
-    gx = -g * z / sd
-    gmean = _unbroadcast(g * z / sd, np.shape(mean))
-    gsd = _unbroadcast(g * (z * z - 1.0) / sd, np.shape(sd))
+    gx = -g * z / sd if need[0] else None
+    gmean = _unbroadcast(g * z / sd, np.shape(mean)) if need[1] else None
+    gsd = _unbroadcast(g * (z * z - 1.0) / sd, np.shape(sd)) if need[2] else None
     return (gx, gmean, gsd)
 
 
@@ -310,19 +323,16 @@ def _fwd_mvnormal_diag(node, v):
     return densities.mvnormal_diag_logpdf(x, loc, scale)
 
 
-def _bwd_mvnormal_diag(node, v, g):
+def _bwd_mvnormal_diag(node, v, g, need):
     x, loc, scale = (v[i] for i in node.inputs)
     z = (x - loc) / scale
     ge = np.asarray(g)[..., None]
-    gx = -ge * z / scale
-    gloc_full = ge * z / scale
-    gscale_full = ge * (z * z - 1.0) / scale
+    gx = -ge * z / scale if need[0] else None
+    gloc = ge * z / scale if need[1] else None
+    gscale = ge * (z * z - 1.0) / scale if need[2] else None
     if x.ndim == 2:
-        gloc = np.sum(gloc_full, axis=0)
-        gscale = np.sum(gscale_full, axis=0)
-    else:
-        gloc = gloc_full
-        gscale = gscale_full
+        gloc = None if gloc is None else np.sum(gloc, axis=0)
+        gscale = None if gscale is None else np.sum(gscale, axis=0)
     return (gx, gloc, gscale)
 
 
@@ -331,13 +341,14 @@ def _fwd_laplace(node, v):
     return densities.laplace_logpdf(x, loc, scale)
 
 
-def _bwd_laplace(node, v, g):
+def _bwd_laplace(node, v, g, need):
     x, loc, scale = (v[i] for i in node.inputs)
     diff = x - loc
     s = np.sign(diff)
-    gx = -g * s / scale
-    gloc = _unbroadcast(g * s / scale, np.shape(loc))
-    gscale = _unbroadcast(g * (np.abs(diff) / (scale * scale) - 1.0 / scale), np.shape(scale))
+    gx = -g * s / scale if need[0] else None
+    gloc = _unbroadcast(g * s / scale, np.shape(loc)) if need[1] else None
+    gscale = (_unbroadcast(g * (np.abs(diff) / (scale * scale) - 1.0 / scale), np.shape(scale))
+              if need[2] else None)
     return (gx, gloc, gscale)
 
 
@@ -346,7 +357,7 @@ def _fwd_gamma(node, v):
     return densities.gamma_logpdf(x, node.attrs["shape_param"], node.attrs["rate"])
 
 
-def _bwd_gamma(node, v, g):
+def _bwd_gamma(node, v, g, need):
     x = v[node.inputs[0]]
     alpha = node.attrs["shape_param"]
     rate = node.attrs["rate"]
@@ -361,7 +372,7 @@ def _fwd_categorical(node, v):
     return densities.categorical_logpdf(probs, labels)
 
 
-def _bwd_categorical(node, v, g):
+def _bwd_categorical(node, v, g, need):
     probs, labels = (v[i] for i in node.inputs)
     idx = labels.astype(np.int64)
     rows = np.arange(idx.size)
@@ -386,7 +397,7 @@ def _fwd_mixture2(node, v):
     )
 
 
-def _bwd_mixture2(node, v, g):
+def _bwd_mixture2(node, v, g, need):
     x, loc1, loc2 = (v[i] for i in node.inputs)
     s1 = node.attrs["scale1"]
     s2 = node.attrs["scale2"]
@@ -401,9 +412,9 @@ def _bwd_mixture2(node, v, g):
     g2 = (np.asarray(g) * r2)[:, None]
     z1 = (x - loc1) / s1
     z2 = (x - loc2) / s2
-    gx = -g1 * z1 / s1 - g2 * z2 / s2
-    gloc1 = np.sum(g1 * z1 / s1, axis=0)
-    gloc2 = np.sum(g2 * z2 / s2, axis=0)
+    gx = -g1 * z1 / s1 - g2 * z2 / s2 if need[0] else None
+    gloc1 = np.sum(g1 * z1 / s1, axis=0) if need[1] else None
+    gloc2 = np.sum(g2 * z2 / s2, axis=0) if need[2] else None
     return (gx, gloc1, gloc2)
 
 
@@ -664,12 +675,24 @@ class GraphBuilder:
         return NodeRef(self, idx, shape)
 
 
+class _Plan(NamedTuple):
+    """What ``eval`` or ``grad`` runs for one target set; built once, never mutated."""
+
+    targets: tuple  # node index of each requested output (the objective, for grad)
+    slots: tuple  # constant values in their slots, None elsewhere
+    leaves: tuple  # (index, name, node) of each variable or placeholder feeding the targets
+    forward: tuple  # (index, kernel, node) of each op feeding the targets, in node order
+    backward: tuple  # (index, kernel, node, need) of each op on a path from wrt, in reverse
+
+
 class Graph:
     """Frozen expression DAG.
 
-    Immutable and shareable across threads: ``eval``/``grad`` keep no state
-    beyond a cache of which nodes feed which outputs, and repeated calls with
-    the same bindings return bit-identical results.
+    ``eval`` and ``grad`` run from plans compiled on first use and cached per
+    output tuple or (objective, wrt) pair.  Plans are immutable, and two
+    threads that race to build one build equal plans, so a graph is shareable
+    across threads without a lock; repeated calls with the same bindings
+    return bit-identical results.
     """
 
     def __init__(self, nodes, variables, placeholders, outputs):
@@ -677,7 +700,7 @@ class Graph:
         self._variables = variables
         self._placeholders = placeholders
         self._outputs = outputs
-        self._needed_cache: dict[tuple, list[bool]] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
     @property
     def variables(self) -> dict[str, tuple]:
@@ -698,10 +721,13 @@ class Graph:
         one raises MissingFeed, and an incompatible binding raises ShapeError.
         """
         names = tuple(outputs) if outputs is not None else tuple(self._outputs)
-        indices = [self._resolve(name) for name in names]
-        values = self._forward(bindings, self._needed(tuple(indices)))
+        key = ("eval", names)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._compile([self._resolve(name) for name in names], ())
+        values = self._run(plan, bindings)
         result = {}
-        for name, idx in zip(names, indices):
+        for name, idx in zip(names, plan.targets):
             val = values[idx]
             result[name] = val.copy() if not self._nodes[idx].inputs else val
         return result
@@ -717,27 +743,27 @@ class Graph:
         One forward pass, one backward pass.  Variables the objective does not
         depend on get zero gradients of the declared shape.
         """
-        wrt = list(wrt)
-        for name in wrt:
-            if name not in self._variables:
-                raise UnknownVariable(f"{name!r} is not a variable of this graph")
-        obj = self._resolve(objective)
-        if self._nodes[obj].shape != ():
-            raise ShapeError(
-                f"gradient objective {objective!r} must be scalar, has shape {self._nodes[obj].shape}"
-            )
-        values = self._forward(bindings, self._needed((obj,)))
-        adjoint: list = [None] * len(self._nodes)
-        adjoint[obj] = np.ones((), dtype=np.float64)
-        for idx in range(obj, -1, -1):
+        wrt = tuple(wrt)
+        key = ("grad", objective, wrt)
+        plan = self._plans.get(key)
+        if plan is None:
+            for name in wrt:
+                if name not in self._variables:
+                    raise UnknownVariable(f"{name!r} is not a variable of this graph")
+            obj = self._resolve(objective)
+            if self._nodes[obj].shape != ():
+                raise ShapeError(
+                    f"gradient objective {objective!r} must be scalar, has shape {self._nodes[obj].shape}"
+                )
+            plan = self._plans[key] = self._compile([obj], {self._variables[name] for name in wrt})
+        values = self._run(plan, bindings)
+        adjoint: list = [None] * len(values)
+        adjoint[plan.targets[0]] = np.ones((), dtype=np.float64)
+        for idx, backward, node, need in plan.backward:
             g = adjoint[idx]
             if g is None:
                 continue
-            node = self._nodes[idx]
-            if not node.inputs:
-                continue
-            contributions = _BACKWARD[node.op](node, values, g)
-            for input_idx, contrib in zip(node.inputs, contributions):
+            for input_idx, contrib in zip(node.inputs, backward(node, values, g, need)):
                 if contrib is None:
                     continue
                 if adjoint[input_idx] is None:
@@ -761,37 +787,43 @@ class Graph:
                 return table[name]
         raise UnknownVariable(f"{name!r} names no output, variable or placeholder")
 
-    def _needed(self, targets: tuple) -> list[bool]:
-        cached = self._needed_cache.get(targets)
-        if cached is not None:
-            return cached
-        mask = [False] * len(self._nodes)
+    def _compile(self, targets: list, wrt) -> _Plan:
+        """Plan for the target nodes; ``wrt`` holds the variable nodes to differentiate by."""
+        feeds = [False] * len(self._nodes)
         stack = list(targets)
         while stack:
             idx = stack.pop()
-            if mask[idx]:
-                continue
-            mask[idx] = True
-            stack.extend(self._nodes[idx].inputs)
-        self._needed_cache[targets] = mask
-        return mask
-
-    def _forward(self, bindings: Mapping[str, Any], mask: list[bool]) -> list:
-        values: list = [None] * len(self._nodes)
+            if not feeds[idx]:
+                feeds[idx] = True
+                stack.extend(self._nodes[idx].inputs)
+        on_path = [False] * len(self._nodes)
+        slots = [None] * len(self._nodes)
+        leaves, forward, backward = [], [], []
         for node in self._nodes:
             idx = node.index
-            if not mask[idx]:
+            if not feeds[idx]:
                 continue
-            op = node.op
-            if op == "constant":
-                values[idx] = node.attrs["value"]
-            elif op == "variable" or op == "placeholder":
-                name = node.attrs["name"]
-                if name not in bindings:
-                    raise MissingFeed(f"no binding supplied for leaf {name!r}")
-                values[idx] = self._conform(bindings[name], node)
+            on_path[idx] = idx in wrt or any(on_path[i] for i in node.inputs)
+            if node.op == "constant":
+                slots[idx] = node.attrs["value"]
+            elif not node.inputs:
+                leaves.append((idx, node.attrs["name"], node))
             else:
-                values[idx] = _FORWARD[op](node, values)
+                forward.append((idx, _FORWARD[node.op], node))
+                if on_path[idx]:
+                    need = tuple(on_path[i] for i in node.inputs)
+                    backward.append((idx, _BACKWARD[node.op], node, need))
+        return _Plan(tuple(targets), tuple(slots), tuple(leaves), tuple(forward), tuple(reversed(backward)))
+
+    def _run(self, plan: _Plan, bindings: Mapping[str, Any]) -> list:
+        """Bind the plan's leaves, then run its forward kernels; returns every slot."""
+        values = list(plan.slots)
+        for idx, name, node in plan.leaves:
+            if name not in bindings:
+                raise MissingFeed(f"no binding supplied for leaf {name!r}")
+            values[idx] = self._conform(bindings[name], node)
+        for idx, forward, node in plan.forward:
+            values[idx] = forward(node, values)
         return values
 
     @staticmethod

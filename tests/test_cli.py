@@ -274,6 +274,17 @@ def test_run_config_file_values_are_checked_like_flags(gaussian_data, tmp_path, 
     assert not out.exists()
 
 
+def test_run_config_file_error_names_the_entry(gaussian_data, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("# settings\nstepsize = 1e-3\nalgorithm = sgldx\n")
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", config, "--data", gaussian_data, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:3:" in err and "'algorithm'" in err and "'sgldx'" in err
+    assert "usage:" not in err and "--algorithm" not in err
+    assert not out.exists()
+
+
 def test_run_config_errors_exit_2(mixture_data, tmp_path):
     out = tmp_path / "x"
     assert run_cli("run", "--data", mixture_data, "--algorithm", "sgldcv",

@@ -1,9 +1,14 @@
 """Core graph behaviour: shape checking, forward values, reverse-mode gradients."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from gradmc import GraphBuilder, MissingFeed, ShapeError, UnknownVariable
+from gradmc import GraphBuilder, MissingFeed, Rng, ShapeError, UnknownVariable, gen_synth
+from gradmc.models import FAMILIES
 from oracles import assert_grad_close, finite_diff_grad
 
 
@@ -256,13 +261,14 @@ def test_eval_is_pure_and_bit_identical():
 
 def test_concurrent_eval_on_shared_graph_is_deterministic():
     # one immutable graph, many threads, distinct bindings
-    from concurrent.futures import ThreadPoolExecutor
+    def build():
+        b = GraphBuilder()
+        theta = b.variable("theta", (6,))
+        x = b.placeholder("x", (None, 6))
+        return b.build({"out": b.reduce_sum(b.mvnormal_diag_logpdf(x, theta, (1.0,) * 6))})
 
     rng = np.random.default_rng(19)
-    b = GraphBuilder()
-    theta = b.variable("theta", (6,))
-    x = b.placeholder("x", (None, 6))
-    g = b.build({"out": b.reduce_sum(b.mvnormal_diag_logpdf(x, theta, (1.0,) * 6))})
+    g = build()
     bindings = [
         {"theta": rng.standard_normal(6), "x": rng.standard_normal((20, 6))}
         for _ in range(32)
@@ -272,6 +278,28 @@ def test_concurrent_eval_on_shared_graph_is_deterministic():
         threaded = list(pool.map(lambda bind: g.grad("out", ["theta"], bind)["theta"], bindings))
     for a, b_ in zip(sequential, threaded):
         assert np.array_equal(a, b_)
+
+    # cold cache: eight threads make the first call on a fresh graph at once,
+    # with thread switches forced often so that plan builds interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            cold = build()
+            start = threading.Barrier(8, timeout=60)
+
+            def first_call(bind):
+                start.wait()
+                return cold.grad("out", ["theta"], bind)["theta"]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                raced = list(pool.map(first_call, bindings[:8], timeout=60))
+            for a, b_ in zip(sequential, raced):
+                assert np.array_equal(a, b_)
+            for bind, a in zip(bindings, sequential):
+                assert np.array_equal(cold.grad("out", ["theta"], bind)["theta"], a)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_column_placeholder_accepts_vector_feed():
@@ -286,3 +314,228 @@ def test_abs_subgradient_zero_at_kink():
     x = b.variable("x", ())
     g = b.build({"out": b.abs(x)})
     assert g.grad("out", ["x"], {"x": 0.0})["x"] == 0.0
+
+
+# -- randomized DAGs -------------------------------------------------------------------
+
+_SHAPES = {"s": (), "v": (4,), "m": (4, 4)}
+
+
+def _random_dag(rng):
+    """A random scalar-objective graph over the primitive set.
+
+    Each leaf is randomly a variable, a placeholder or a constant; the
+    objective sums every node that nothing else consumes, so every node feeds
+    it.  Inputs that must be positive (log, sqrt, rsqrt, gamma, sds and
+    scales, divisors) pass through sigmoid(.) + 0.5 first.  Returns the
+    builder, the objective, every node by name, the leaf bindings and the
+    variable names.
+    """
+    b = GraphBuilder()
+    pool = {key: [] for key in _SHAPES}
+    consumed = set()
+    bindings, variables, named = {}, [], {}
+    kinds = ["variable", "placeholder", "constant"]
+
+    def leaf(shape_key, value, kind):
+        name = f"leaf{len(named)}"
+        if kind == "constant":
+            ref = b.constant(value)
+        else:
+            ref = getattr(b, kind)(name, _SHAPES[shape_key])
+            bindings[name] = value
+            if kind == "variable":
+                variables.append(name)
+        named[name] = ref
+        return ref
+
+    shape_keys = ["s", "v", "m"] + list(rng.choice(["s", "v", "m"], size=rng.integers(1, 4)))
+    for key in shape_keys:
+        kind = kinds[rng.integers(3)] if variables else "variable"
+        pool[key].append(leaf(key, rng.standard_normal(_SHAPES[key]) * 0.7, kind))
+
+    def pick(key):
+        ref = pool[key][rng.integers(len(pool[key]))]
+        consumed.add(ref.index)
+        return ref
+
+    def pick_like(key):
+        # same shape, or a scalar a third of the time
+        return pick("s" if rng.random() < 1 / 3 else key)
+
+    def pos(ref):
+        return b.sigmoid(ref) + 0.5
+
+    def unary(op):
+        def make():
+            key = rng.choice(["s", "v", "m"])
+            x = pick(key)
+            return key, getattr(b, op)(pos(x) if op in ("log", "sqrt", "rsqrt") else x)
+        return make
+
+    def binary(op):
+        def make():
+            key = rng.choice(["s", "v", "m"])
+            x, y = pick(key), pick_like(key)
+            if rng.random() < 0.5:
+                x, y = y, x
+            return key, getattr(b, op)(x, pos(y) if op == "divide" else y)
+        return make
+
+    def location(op):
+        def make():
+            key = rng.choice(["s", "v", "m"])
+            return key, getattr(b, op)(pick(key), pick_like(key), pos(pick_like(key)))
+        return make
+
+    def mvnormal():
+        key = rng.choice(["v", "m"])
+        return ("s" if key == "v" else "v"), b.mvnormal_diag_logpdf(pick(key), pick("v"), pos(pick("v")))
+
+    def gamma():
+        key = rng.choice(["s", "v", "m"])
+        return key, b.gamma_logpdf(pos(pick(key)), rng.uniform(1.0, 3.0), rng.uniform(0.5, 2.0))
+
+    def categorical():
+        labels = leaf("v", rng.integers(0, 4, size=4).astype(float), kinds[1 + rng.integers(2)])
+        return "v", b.categorical_logpdf(b.softmax(pick("m")), labels)
+
+    def mixture():
+        w = rng.uniform(0.2, 0.8)
+        return "v", b.mixture2_logpdf(
+            pick("m"), pick("v"), pick("v"), scale1=rng.uniform(0.5, 2.0, 4),
+            scale2=rng.uniform(0.5, 2.0, 4), weights=(w, 1.0 - w),
+        )
+
+    makers = [unary(op) for op in ("negate", "exp", "log", "abs", "square", "sqrt", "rsqrt", "sigmoid")]
+    makers += [binary(op) for op in ("add", "subtract", "multiply", "divide")]
+    makers += [location("normal_logpdf"), location("laplace_logpdf"), mvnormal, gamma, categorical, mixture]
+    makers += [
+        lambda: ("m", b.matmul(pick("m"), pick("m"))),
+        lambda: ("m", b.broadcast_add(pick("m"), pick("v"))),
+        lambda: (lambda key: (key, b.softmax(pick(key))))(rng.choice(["v", "m"])),
+        lambda: ("s", b.reduce_sum(pick(rng.choice(["v", "m"])))),
+    ]
+    for _ in range(rng.integers(5, 11)):
+        key, ref = makers[rng.integers(len(makers))]()
+        pool[key].append(ref)
+        named[f"n{ref.index}"] = ref
+    sinks = [ref for refs in pool.values() for ref in refs if ref.index not in consumed]
+    objective = b.reduce_sum(sinks[0])
+    for ref in sinks[1:]:
+        objective = objective + b.reduce_sum(ref)
+    return b, objective, named, bindings, variables
+
+
+def _conditioned_random_dag(seed):
+    """Draw random DAGs from ``seed`` until one has every value finite and
+    below 1e3 in magnitude, where central differences are accurate."""
+    rng = np.random.default_rng(seed)
+    while True:
+        b, objective, named, bindings, variables = _random_dag(rng)
+        nodes = {name: ref for name, ref in named.items() if name not in bindings}
+        graph = b.build({"out": objective, **nodes})
+        with np.errstate(all="ignore"):
+            values = graph.eval(bindings)
+        if all(np.all(np.isfinite(v)) and np.all(np.abs(v) < 1e3) for v in values.values()):
+            return graph, bindings, variables, rng
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_dag_gradients_match_finite_differences(seed):
+    graph, bindings, variables, rng = _conditioned_random_dag(seed)
+    wrt = sorted(rng.choice(variables, size=rng.integers(1, len(variables) + 1), replace=False))
+    fixed = {name: value for name, value in bindings.items() if name not in wrt}
+
+    def f(p):
+        return float(graph.eval({**fixed, **p}, ["out"])["out"])
+
+    got = graph.grad("out", wrt, bindings)
+    assert sorted(got) == wrt
+    for name in wrt:
+        assert got[name].shape == np.shape(bindings[name])
+    expected = finite_diff_grad(f, {name: bindings[name] for name in wrt})
+    assert_grad_close(got, expected, rel=1e-5, floor=1e-6)
+
+
+# -- masked gradients are bit-identical ------------------------------------------------
+
+def _multi_input_primitives():
+    """Every primitive with more than one input: (method, input values, kwargs)."""
+    rng = np.random.default_rng(23)
+    vec, mat = rng.standard_normal(4), rng.standard_normal((4, 4))
+    positive = np.abs(rng.standard_normal(4)) + 0.5
+    return {
+        "add": ("add", [vec, rng.standard_normal(())], {}),
+        "subtract": ("subtract", [vec, rng.standard_normal(4)], {}),
+        "multiply": ("multiply", [rng.standard_normal(()), vec], {}),
+        "divide": ("divide", [vec, positive], {}),
+        "matmul": ("matmul", [mat, rng.standard_normal((4, 2))], {}),
+        "broadcast_add": ("broadcast_add", [mat, vec], {}),
+        "normal_logpdf": ("normal_logpdf", [vec, rng.standard_normal(()), positive], {}),
+        "mvnormal_diag_logpdf": ("mvnormal_diag_logpdf", [mat, vec, positive], {}),
+        "laplace_logpdf": ("laplace_logpdf", [vec, rng.standard_normal(4), np.asarray(1.3)], {}),
+        "categorical_logpdf": (
+            "categorical_logpdf", [np.full((4, 3), 1.0 / 3.0) + 0.1 * rng.standard_normal((4, 3)),
+                                   np.asarray([0.0, 2.0, 1.0, 2.0])], {},
+        ),
+        "mixture2_logpdf": (
+            "mixture2_logpdf", [rng.standard_normal((5, 2)), rng.standard_normal(2), rng.standard_normal(2)],
+            {"scale1": (1.0, 1.5), "weights": (0.4, 0.6)},
+        ),
+    }
+
+
+def _primitive_graph(method, values, kwargs, kinds):
+    b = GraphBuilder()
+    inputs, bindings = [], {}
+    for k, (value, kind) in enumerate(zip(values, kinds)):
+        if kind == "constant":
+            inputs.append(b.constant(value))
+        else:
+            inputs.append(getattr(b, kind)(f"in{k}", np.shape(value)))
+            bindings[f"in{k}"] = value
+    # squaring makes the upstream gradient differ from element to element
+    out = b.reduce_sum(b.square(getattr(b, method)(*inputs, **kwargs)))
+    return b.build({"out": out}), bindings
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_multi_input_primitives()))
+def test_masked_inputs_leave_other_gradients_bit_identical(name):
+    method, values, kwargs = _multi_input_primitives()[name]
+    graph, bindings = _primitive_graph(method, values, kwargs, ["variable"] * len(values))
+    full = graph.grad("out", sorted(bindings), bindings)
+    for k in range(len(values)):
+        for kind in ("placeholder", "constant"):
+            kinds = ["variable"] * len(values)
+            kinds[k] = kind
+            masked, masked_bindings = _primitive_graph(method, values, kwargs, kinds)
+            wrt = sorted(n for n in masked_bindings if n != f"in{k}")
+            got = masked.grad("out", wrt, masked_bindings)
+            for n in wrt:
+                assert _same_bits(got[n], full[n]), (name, k, kind, n)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "gaussian_mixture", "logistic_regression", "bayes_nn"])
+def test_single_parameter_gradient_is_bit_identical_to_its_entry(family):
+    spec = FAMILIES[family]
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else dict(spec.hyper_defaults)
+    gen_kwargs = {"d": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else (
+        {"d": hyper["d"]} if family == "logistic_regression" else {}
+    )
+    model = spec.build(**hyper)
+    data = gen_synth(family, 40, Rng(8), n_test=2, **gen_kwargs).train
+    bindings = {name: data[name] for name in model.data_names}
+    bindings.update(spec.init_params(model, Rng(9)))
+    bindings["__grad_scale__"] = 40 / 7
+    for objective in ("objective", "log_lik", "log_prior"):
+        full = model.graph.grad(objective, model.param_names, bindings)
+        for name in model.param_names:
+            single = model.graph.grad(objective, [name], bindings)
+            assert list(single) == [name]
+            assert _same_bits(single[name], full[name]), (objective, name)

@@ -33,7 +33,7 @@ from gradmc import (
     sgld_step,
     sgnht_step,
 )
-from gradmc.samplers import ControlVariateState
+from gradmc.samplers import ControlVariateState, _check_finite
 from oracles import batch_means_se
 
 
@@ -534,6 +534,15 @@ def test_divergence_carries_iteration_and_param():
         run_chain(model, dataset, {"theta": 0.0}, config)
     assert excinfo.value.param == "theta"
     assert excinfo.value.iteration is not None
+
+
+def test_divergence_names_the_first_non_finite_tensor_in_sorted_order():
+    tensors = {"zeta": np.asarray([np.nan]), "mid": np.ones(3), "alpha": np.asarray(np.inf)}
+    with pytest.raises(NumericalDivergence) as excinfo:
+        _check_finite(tensors, 7, "gradient")
+    assert excinfo.value.param == "alpha" and excinfo.value.iteration == 7
+    assert str(excinfo.value) == "non-finite gradient for parameter 'alpha' at iteration 7"
+    _check_finite({"zeta": np.zeros(2), "alpha": np.asarray(1.0)}, 7, "gradient")
 
 
 def test_config_validation_errors():

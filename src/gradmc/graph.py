@@ -11,16 +11,20 @@ its first axis open (``None``) so the same graph evaluates on batches of any
 size.
 
 Each (objective, wrt) pair that ``Graph.grad`` sees, and each output tuple
-that ``Graph.eval`` sees, compiles once into a plan cached on the graph: the
-forward kernels of the nodes that feed the target, in node order, and the
-backward kernels of the nodes on a path from a ``wrt`` variable to the
-objective, in reverse.  Only the gradients someone consumes are computed, so
-data, constants and variables nobody asked for cost no backward work.  Plans
-are immutable, so graphs stay immutable and shareable across threads.
+that ``Graph.eval`` sees, compiles once into a plan cached on the graph: one
+Python function, emitted as straight-line source from per-op templates and
+``exec``-ed once.  Shapes, and which gradients flow where, are decided while
+emitting.  A gradient plan computes only the contributions someone consumes,
+so data, constants and variables nobody asked for cost no backward work, and
+only the forward values its backward steps read, so the objective's own value
+is never computed.  Forwards that validate their inputs (the labels of
+``categorical_logpdf``) run under ``grad`` too.  Plans never change once
+built, so graphs stay immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -67,13 +71,6 @@ def _elementwise_shape(a, b, op):
     if b == ():
         return a
     return _merge_shape(a, b, op)
-
-
-def _unbroadcast(grad, shape):
-    """Reduce a gradient back to a scalar operand's shape."""
-    if shape == () and np.ndim(grad) != 0:
-        return np.sum(grad)
-    return grad
 
 
 @dataclass(frozen=True)
@@ -124,149 +121,7 @@ class NodeRef:
         return f"NodeRef({self.index}, shape={self.shape})"
 
 
-# ---------------------------------------------------------------------------
-# Forward / backward kernels.  Forward takes (node, values) and returns the
-# node's value; backward takes (node, values, grad, need) and returns one
-# gradient contribution per input (None for non-differentiable inputs such as
-# labels).  need[k] is False when no gradient flows on from input k (data,
-# constants, variables nobody asked for); kernels with more than one
-# differentiable input skip those and return None for them.  Returned arrays
-# are never mutated by the accumulator, so views are fine.
-# ---------------------------------------------------------------------------
-
-_FORWARD: dict[str, Callable] = {}
-_BACKWARD: dict[str, Callable] = {}
-
-
-def _register(op, forward, backward):
-    _FORWARD[op] = forward
-    _BACKWARD[op] = backward
-
-
-def _fwd_add(node, v):
-    a, b = node.inputs
-    return v[a] + v[b]
-
-
-def _bwd_add(node, v, g, need):
-    a, b = node.inputs
-    return (_unbroadcast(g, v[a].shape) if need[0] else None,
-            _unbroadcast(g, v[b].shape) if need[1] else None)
-
-
-def _fwd_subtract(node, v):
-    a, b = node.inputs
-    return v[a] - v[b]
-
-
-def _bwd_subtract(node, v, g, need):
-    a, b = node.inputs
-    return (_unbroadcast(g, v[a].shape) if need[0] else None,
-            _unbroadcast(-g, v[b].shape) if need[1] else None)
-
-
-def _fwd_multiply(node, v):
-    a, b = node.inputs
-    return v[a] * v[b]
-
-
-def _bwd_multiply(node, v, g, need):
-    a, b = node.inputs
-    return (_unbroadcast(g * v[b], v[a].shape) if need[0] else None,
-            _unbroadcast(g * v[a], v[b].shape) if need[1] else None)
-
-
-def _fwd_divide(node, v):
-    a, b = node.inputs
-    return v[a] / v[b]
-
-
-def _bwd_divide(node, v, g, need):
-    a, b = node.inputs
-    ga = _unbroadcast(g / v[b], v[a].shape) if need[0] else None
-    gb = _unbroadcast(-g * v[a] / (v[b] * v[b]), v[b].shape) if need[1] else None
-    return (ga, gb)
-
-
-def _fwd_negate(node, v):
-    return -v[node.inputs[0]]
-
-
-def _bwd_negate(node, v, g, need):
-    return (-g,)
-
-
-def _fwd_matmul(node, v):
-    a, b = node.inputs
-    return v[a] @ v[b]
-
-
-def _bwd_matmul(node, v, g, need):
-    a, b = node.inputs
-    return (g @ v[b].T if need[0] else None, v[a].T @ g if need[1] else None)
-
-
-def _fwd_reduce_sum(node, v):
-    return np.sum(v[node.inputs[0]])
-
-
-def _bwd_reduce_sum(node, v, g, need):
-    return (np.broadcast_to(g, v[node.inputs[0]].shape),)
-
-
-def _fwd_exp(node, v):
-    return np.exp(v[node.inputs[0]])
-
-
-def _bwd_exp(node, v, g, need):
-    return (g * v[node.index],)
-
-
-def _fwd_log(node, v):
-    return np.log(v[node.inputs[0]])
-
-
-def _bwd_log(node, v, g, need):
-    return (g / v[node.inputs[0]],)
-
-
-def _fwd_abs(node, v):
-    return np.abs(v[node.inputs[0]])
-
-
-def _bwd_abs(node, v, g, need):
-    # sign(0) = 0: the subgradient of |x| at the kink is taken as 0.
-    return (g * np.sign(v[node.inputs[0]]),)
-
-
-def _fwd_square(node, v):
-    x = v[node.inputs[0]]
-    return x * x
-
-
-def _bwd_square(node, v, g, need):
-    return (2.0 * g * v[node.inputs[0]],)
-
-
-def _fwd_sqrt(node, v):
-    return np.sqrt(v[node.inputs[0]])
-
-
-def _bwd_sqrt(node, v, g, need):
-    return (0.5 * g / v[node.index],)
-
-
-def _fwd_rsqrt(node, v):
-    return 1.0 / np.sqrt(v[node.inputs[0]])
-
-
-def _bwd_rsqrt(node, v, g, need):
-    y = v[node.index]
-    return (-0.5 * g * y * y * y,)
-
-
-def _fwd_sigmoid(node, v):
-    x = v[node.inputs[0]]
+def _sigmoid(x):
     # Stable two-branch evaluation, then clamp into the open unit interval so
     # log(pi) and log(1 - pi) compositions stay finite.
     with np.errstate(over="ignore"):
@@ -277,172 +132,115 @@ def _fwd_sigmoid(node, v):
     return np.clip(out, densities.PROB_CLAMP, 1.0 - densities.PROB_CLAMP)
 
 
-def _bwd_sigmoid(node, v, g, need):
-    y = v[node.index]
-    return (g * y * (1.0 - y),)
-
-
-def _fwd_softmax(node, v):
-    x = v[node.inputs[0]]
+def _softmax(x):
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _bwd_softmax(node, v, g, need):
-    y = v[node.index]
-    inner = np.sum(g * y, axis=-1, keepdims=True)
-    return (y * (g - inner),)
+class _Op(NamedTuple):
+    """Source templates of one primitive, filled in by ``Graph._compile``.
+
+    Fields: ``{0}``, ``{1}``, ... an input's value; ``{y}`` the node's own
+    value; ``{g}`` its adjoint; ``{shape0}`` only the shape of input 0;
+    ``{t}`` a prefix for temporaries; any other name an entry of the node's
+    attrs.  The fields a backward template uses are what it reads, which is
+    what lets a plan skip forward values that no gradient reads.
+    """
+
+    forward: str
+    backward: tuple  # one contribution per input; None where no gradient flows
+    pre: tuple = ()  # statements the contributions share
+    # The output has the inputs' broadcast shape, and so does each
+    # contribution; one to a scalar input is summed to a scalar.
+    elementwise: bool = False
+    # Contributions to inputs 1.. have input 0's rank and are summed over its rows.
+    rows_of_input0: bool = False
+    checks: bool = False  # the forward validates its inputs, so grad runs it too
 
 
-def _fwd_broadcast_add(node, v):
-    m, vec = node.inputs
-    return v[m] + v[vec]
-
-
-def _bwd_broadcast_add(node, v, g, need):
-    return (g if need[0] else None, np.sum(g, axis=0) if need[1] else None)
-
-
-def _fwd_normal(node, v):
-    x, mean, sd = (v[i] for i in node.inputs)
-    return densities.normal_logpdf(x, mean, sd)
-
-
-def _bwd_normal(node, v, g, need):
-    x, mean, sd = (v[i] for i in node.inputs)
-    z = (x - mean) / sd
-    gx = -g * z / sd if need[0] else None
-    gmean = _unbroadcast(g * z / sd, np.shape(mean)) if need[1] else None
-    gsd = _unbroadcast(g * (z * z - 1.0) / sd, np.shape(sd)) if need[2] else None
-    return (gx, gmean, gsd)
-
-
-def _fwd_mvnormal_diag(node, v):
-    x, loc, scale = (v[i] for i in node.inputs)
-    return densities.mvnormal_diag_logpdf(x, loc, scale)
-
-
-def _bwd_mvnormal_diag(node, v, g, need):
-    x, loc, scale = (v[i] for i in node.inputs)
-    z = (x - loc) / scale
-    ge = np.asarray(g)[..., None]
-    gx = -ge * z / scale if need[0] else None
-    gloc = ge * z / scale if need[1] else None
-    gscale = ge * (z * z - 1.0) / scale if need[2] else None
-    if x.ndim == 2:
-        gloc = None if gloc is None else np.sum(gloc, axis=0)
-        gscale = None if gscale is None else np.sum(gscale, axis=0)
-    return (gx, gloc, gscale)
-
-
-def _fwd_laplace(node, v):
-    x, loc, scale = (v[i] for i in node.inputs)
-    return densities.laplace_logpdf(x, loc, scale)
-
-
-def _bwd_laplace(node, v, g, need):
-    x, loc, scale = (v[i] for i in node.inputs)
-    diff = x - loc
-    s = np.sign(diff)
-    gx = -g * s / scale if need[0] else None
-    gloc = _unbroadcast(g * s / scale, np.shape(loc)) if need[1] else None
-    gscale = (_unbroadcast(g * (np.abs(diff) / (scale * scale) - 1.0 / scale), np.shape(scale))
-              if need[2] else None)
-    return (gx, gloc, gscale)
-
-
-def _fwd_gamma(node, v):
-    x = v[node.inputs[0]]
-    return densities.gamma_logpdf(x, node.attrs["shape_param"], node.attrs["rate"])
-
-
-def _bwd_gamma(node, v, g, need):
-    x = v[node.inputs[0]]
-    alpha = node.attrs["shape_param"]
-    rate = node.attrs["rate"]
-    safe = np.where(x > 0.0, x, 1.0)
+_Z_PRE = ("{t}z = ({0} - {1}) / {2}",)
+_OPS = {
+    "add": _Op("{0} + {1}", ("{g}", "{g}"), elementwise=True),
+    "subtract": _Op("{0} - {1}", ("{g}", "-{g}"), elementwise=True),
+    "multiply": _Op("{0} * {1}", ("{g} * {1}", "{g} * {0}"), elementwise=True),
+    "divide": _Op("{0} / {1}", ("{g} / {1}", "-{g} * {0} / ({1} * {1})"), elementwise=True),
+    "negate": _Op("-{0}", ("-{g}",), elementwise=True),
+    "matmul": _Op("{0} @ {1}", ("{g} @ {1}.T", "{0}.T @ {g}")),
+    "reduce_sum": _Op("_np.sum({0})", ("_np.broadcast_to({g}, {shape0})",)),
+    "exp": _Op("_np.exp({0})", ("{g} * {y}",), elementwise=True),
+    "log": _Op("_np.log({0})", ("{g} / {0}",), elementwise=True),
+    # sign(0) = 0: the subgradient of |x| at the kink is taken as 0.
+    "abs": _Op("_np.abs({0})", ("{g} * _np.sign({0})",), elementwise=True),
+    "square": _Op("{0} * {0}", ("2.0 * {g} * {0}",), elementwise=True),
+    "sqrt": _Op("_np.sqrt({0})", ("0.5 * {g} / {y}",), elementwise=True),
+    "rsqrt": _Op("1.0 / _np.sqrt({0})", ("-0.5 * {g} * {y} * {y} * {y}",), elementwise=True),
+    "sigmoid": _Op("_sigmoid({0})", ("{g} * {y} * (1.0 - {y})",), elementwise=True),
+    "softmax": _Op(
+        "_softmax({0})", ("{y} * ({g} - {t}inner)",),
+        pre=("{t}inner = _np.sum({g} * {y}, axis=-1, keepdims=True)",), elementwise=True,
+    ),
+    "broadcast_add": _Op("{0} + {1}", ("{g}", "_np.sum({g}, axis=0)")),
+    "normal_logpdf": _Op(
+        "_densities.normal_logpdf({0}, {1}, {2})",
+        ("-{g} * {t}z / {2}", "{g} * {t}z / {2}", "{g} * ({t}z * {t}z - 1.0) / {2}"),
+        pre=_Z_PRE, elementwise=True,
+    ),
+    "mvnormal_diag_logpdf": _Op(
+        "_densities.mvnormal_diag_logpdf({0}, {1}, {2})",
+        ("-{t}ge * {t}z / {2}", "{t}ge * {t}z / {2}", "{t}ge * ({t}z * {t}z - 1.0) / {2}"),
+        pre=_Z_PRE + ("{t}ge = _np.asarray({g})[..., None]",), rows_of_input0=True,
+    ),
+    "laplace_logpdf": _Op(
+        "_densities.laplace_logpdf({0}, {1}, {2})",
+        ("-{g} * {t}s / {2}", "{g} * {t}s / {2}", "{g} * (_np.abs({t}diff) / ({2} * {2}) - 1.0 / {2})"),
+        pre=("{t}diff = {0} - {1}", "{t}s = _np.sign({t}diff)"), elementwise=True,
+    ),
     # NaN outside the support so divergent chains trip the finiteness checks.
-    gx = g * np.where(x > 0.0, (alpha - 1.0) / safe - rate, np.nan)
-    return (gx,)
+    "gamma_logpdf": _Op(
+        "_densities.gamma_logpdf({0}, {shape_param}, {rate})",
+        ("{g} * _np.where({0} > 0.0, ({shape_param} - 1.0) / {t}safe - {rate}, _np.nan)",),
+        pre=("{t}safe = _np.where({0} > 0.0, {0}, 1.0)",), elementwise=True,
+    ),
+    "categorical_logpdf": _Op(
+        "_densities.categorical_logpdf({0}, {1})",
+        ("{t}gprobs", None),
+        pre=(
+            "{t}idx = {1}.astype(_np.int64)",
+            "{t}rows = _np.arange({t}idx.size)",
+            "{t}picked = {0}[{t}rows, {t}idx]",
+            "{t}gprobs = _np.zeros_like({0})",
+            "{t}gprobs[{t}rows, {t}idx] = _np.where("
+            "{t}picked > _densities.PROB_CLAMP, _np.asarray({g}) / {t}picked, 0.0)",
+        ),
+        checks=True,
+    ),
+    "mixture2_logpdf": _Op(
+        "_densities.mixture2_logpdf({0}, {1}, {2}, {scale1}, {scale2}, {weights}[0], {weights}[1])",
+        (
+            "-{t}g1 * {t}z1 / {scale1} - {t}g2 * {t}z2 / {scale2}",
+            "_np.sum({t}g1 * {t}z1 / {scale1}, axis=0)",
+            "_np.sum({t}g2 * {t}z2 / {scale2}, axis=0)",
+        ),
+        pre=(
+            "{t}c1 = _densities.mvnormal_diag_logpdf({0}, {1}, {scale1})",
+            "{t}c2 = _densities.mvnormal_diag_logpdf({0}, {2}, {scale2})",
+            "with _np.errstate(divide='ignore'):",
+            "    {t}r1 = _np.exp(_np.log({weights}[0]) + {t}c1 - {y}) if {weights}[0] > 0.0 else _np.zeros_like({t}c1)",
+            "    {t}r2 = _np.exp(_np.log({weights}[1]) + {t}c2 - {y}) if {weights}[1] > 0.0 else _np.zeros_like({t}c2)",
+            "{t}g1 = (_np.asarray({g}) * {t}r1)[:, None]",
+            "{t}g2 = (_np.asarray({g}) * {t}r2)[:, None]",
+            "{t}z1 = ({0} - {1}) / {scale1}",
+            "{t}z2 = ({0} - {2}) / {scale2}",
+        ),
+    ),
+}
+_FIELDS = string.Formatter()
 
 
-def _fwd_categorical(node, v):
-    probs, labels = (v[i] for i in node.inputs)
-    return densities.categorical_logpdf(probs, labels)
-
-
-def _bwd_categorical(node, v, g, need):
-    probs, labels = (v[i] for i in node.inputs)
-    idx = labels.astype(np.int64)
-    rows = np.arange(idx.size)
-    picked = probs[rows, idx]
-    gprobs = np.zeros_like(probs)
-    gprobs[rows, idx] = np.where(
-        picked > densities.PROB_CLAMP, np.asarray(g) / picked, 0.0
-    )
-    return (gprobs, None)
-
-
-def _fwd_mixture2(node, v):
-    x, loc1, loc2 = (v[i] for i in node.inputs)
-    return densities.mixture2_logpdf(
-        x,
-        loc1,
-        loc2,
-        node.attrs["scale1"],
-        node.attrs["scale2"],
-        node.attrs["weights"][0],
-        node.attrs["weights"][1],
-    )
-
-
-def _bwd_mixture2(node, v, g, need):
-    x, loc1, loc2 = (v[i] for i in node.inputs)
-    s1 = node.attrs["scale1"]
-    s2 = node.attrs["scale2"]
-    w1, w2 = node.attrs["weights"]
-    out = v[node.index]
-    c1 = densities.mvnormal_diag_logpdf(x, loc1, s1)
-    c2 = densities.mvnormal_diag_logpdf(x, loc2, s2)
-    with np.errstate(divide="ignore"):
-        r1 = np.exp(np.log(w1) + c1 - out) if w1 > 0.0 else np.zeros_like(c1)
-        r2 = np.exp(np.log(w2) + c2 - out) if w2 > 0.0 else np.zeros_like(c2)
-    g1 = (np.asarray(g) * r1)[:, None]
-    g2 = (np.asarray(g) * r2)[:, None]
-    z1 = (x - loc1) / s1
-    z2 = (x - loc2) / s2
-    gx = -g1 * z1 / s1 - g2 * z2 / s2 if need[0] else None
-    gloc1 = np.sum(g1 * z1 / s1, axis=0) if need[1] else None
-    gloc2 = np.sum(g2 * z2 / s2, axis=0) if need[2] else None
-    return (gx, gloc1, gloc2)
-
-
-for _name, _f, _b in [
-    ("add", _fwd_add, _bwd_add),
-    ("subtract", _fwd_subtract, _bwd_subtract),
-    ("multiply", _fwd_multiply, _bwd_multiply),
-    ("divide", _fwd_divide, _bwd_divide),
-    ("negate", _fwd_negate, _bwd_negate),
-    ("matmul", _fwd_matmul, _bwd_matmul),
-    ("reduce_sum", _fwd_reduce_sum, _bwd_reduce_sum),
-    ("exp", _fwd_exp, _bwd_exp),
-    ("log", _fwd_log, _bwd_log),
-    ("abs", _fwd_abs, _bwd_abs),
-    ("square", _fwd_square, _bwd_square),
-    ("sqrt", _fwd_sqrt, _bwd_sqrt),
-    ("rsqrt", _fwd_rsqrt, _bwd_rsqrt),
-    ("sigmoid", _fwd_sigmoid, _bwd_sigmoid),
-    ("softmax", _fwd_softmax, _bwd_softmax),
-    ("broadcast_add", _fwd_broadcast_add, _bwd_broadcast_add),
-    ("normal_logpdf", _fwd_normal, _bwd_normal),
-    ("mvnormal_diag_logpdf", _fwd_mvnormal_diag, _bwd_mvnormal_diag),
-    ("laplace_logpdf", _fwd_laplace, _bwd_laplace),
-    ("gamma_logpdf", _fwd_gamma, _bwd_gamma),
-    ("categorical_logpdf", _fwd_categorical, _bwd_categorical),
-    ("mixture2_logpdf", _fwd_mixture2, _bwd_mixture2),
-]:
-    _register(_name, _f, _b)
+def _fields(templates) -> set:
+    """The field names a group of templates uses, which is what they read."""
+    return {name for text in templates for _, name, _, _ in _FIELDS.parse(text) if name}
 
 
 class GraphBuilder:
@@ -675,24 +473,20 @@ class GraphBuilder:
         return NodeRef(self, idx, shape)
 
 
-class _Plan(NamedTuple):
-    """What ``eval`` or ``grad`` runs for one target set; built once, never mutated."""
-
-    targets: tuple  # node index of each requested output (the objective, for grad)
-    slots: tuple  # constant values in their slots, None elsewhere
-    leaves: tuple  # (index, name, node) of each variable or placeholder feeding the targets
-    forward: tuple  # (index, kernel, node) of each op feeding the targets, in node order
-    backward: tuple  # (index, kernel, node, need) of each op on a path from wrt, in reverse
-
-
 class Graph:
     """Frozen expression DAG.
 
     ``eval`` and ``grad`` run from plans compiled on first use and cached per
-    output tuple or (objective, wrt) pair.  Plans are immutable, and two
-    threads that race to build one build equal plans, so a graph is shareable
-    across threads without a lock; repeated calls with the same bindings
-    return bit-identical results.
+    output tuple or (objective, wrt) pair.  A plan is one Python function,
+    emitted as source and ``exec``-ed once: it binds and checks the leaves
+    that feed the target, computes the forward values the result reads, and,
+    for ``grad``, one line per gradient contribution, in reverse node order.
+    ``grad`` never computes the objective's value, nor any other forward
+    value that no backward step reads; a forward that validates its inputs
+    (``categorical_logpdf``'s labels) still runs.  Plans never change once
+    built, and two threads that race to build one build equal functions, so a
+    graph is shareable across threads without a lock; repeated calls with the
+    same bindings return bit-identical results.
     """
 
     def __init__(self, nodes, variables, placeholders, outputs):
@@ -700,7 +494,7 @@ class Graph:
         self._variables = variables
         self._placeholders = placeholders
         self._outputs = outputs
-        self._plans: dict[tuple, _Plan] = {}
+        self._plans: dict[tuple, Callable] = {}
 
     @property
     def variables(self) -> dict[str, tuple]:
@@ -724,13 +518,8 @@ class Graph:
         key = ("eval", names)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._compile([self._resolve(name) for name in names], ())
-        values = self._run(plan, bindings)
-        result = {}
-        for name, idx in zip(names, plan.targets):
-            val = values[idx]
-            result[name] = val.copy() if not self._nodes[idx].inputs else val
-        return result
+            plan = self._plans[key] = self._compile([self._resolve(name) for name in names], names, grad=False)
+        return plan(bindings)
 
     def grad(
         self,
@@ -740,8 +529,9 @@ class Graph:
     ) -> dict[str, np.ndarray]:
         """Reverse-mode gradient of a scalar output with respect to variables.
 
-        One forward pass, one backward pass.  Variables the objective does not
-        depend on get zero gradients of the declared shape.
+        One pass over the forward values the gradient reads, one backward
+        pass.  Variables the objective does not depend on get zero gradients
+        of the declared shape.
         """
         wrt = tuple(wrt)
         key = ("grad", objective, wrt)
@@ -755,29 +545,8 @@ class Graph:
                 raise ShapeError(
                     f"gradient objective {objective!r} must be scalar, has shape {self._nodes[obj].shape}"
                 )
-            plan = self._plans[key] = self._compile([obj], {self._variables[name] for name in wrt})
-        values = self._run(plan, bindings)
-        adjoint: list = [None] * len(values)
-        adjoint[plan.targets[0]] = np.ones((), dtype=np.float64)
-        for idx, backward, node, need in plan.backward:
-            g = adjoint[idx]
-            if g is None:
-                continue
-            for input_idx, contrib in zip(node.inputs, backward(node, values, g, need)):
-                if contrib is None:
-                    continue
-                if adjoint[input_idx] is None:
-                    adjoint[input_idx] = contrib
-                else:
-                    adjoint[input_idx] = adjoint[input_idx] + contrib
-        result = {}
-        for name in wrt:
-            idx = self._variables[name]
-            g = adjoint[idx]
-            if g is None:
-                g = np.zeros(self._nodes[idx].shape, dtype=np.float64)
-            result[name] = np.asarray(g, dtype=np.float64)
-        return result
+            plan = self._plans[key] = self._compile([obj], wrt, grad=True)
+        return plan(bindings)
 
     # -- internals -------------------------------------------------------------
 
@@ -787,50 +556,148 @@ class Graph:
                 return table[name]
         raise UnknownVariable(f"{name!r} names no output, variable or placeholder")
 
-    def _compile(self, targets: list, wrt) -> _Plan:
-        """Plan for the target nodes; ``wrt`` holds the variable nodes to differentiate by."""
-        feeds = [False] * len(self._nodes)
+    def _compile(self, targets: list, names: tuple, grad: bool) -> Callable:
+        """Emit and ``exec`` the plan function for the target nodes.
+
+        For ``eval`` the targets are the outputs called ``names``; for
+        ``grad`` the one target is the objective and ``names`` are the
+        variables to differentiate by.  Names, attrs and constants reach the
+        function through its namespace: generated identifiers come from node
+        indices only.
+        """
+        nodes = self._nodes
+        feeds = [False] * len(nodes)
         stack = list(targets)
         while stack:
             idx = stack.pop()
             if not feeds[idx]:
                 feeds[idx] = True
-                stack.extend(self._nodes[idx].inputs)
-        on_path = [False] * len(self._nodes)
-        slots = [None] * len(self._nodes)
-        leaves, forward, backward = [], [], []
-        for node in self._nodes:
+                stack.extend(nodes[idx].inputs)
+        keep = [False] * len(nodes)  # the value is computed: read, returned or checked
+
+        def keep_value(idx):
+            stack = [idx]
+            while stack:
+                i = stack.pop()
+                if not keep[i]:
+                    keep[i] = True
+                    stack.extend(nodes[i].inputs)
+
+        # Which backward contributions run, and what they read.
+        backward = []  # (node, op, [(input position, input index, template)], fields) in reverse order
+        has_adjoint = [False] * len(nodes)
+        if grad:
+            wrt = {self._variables[name] for name in names}
+            on_path = [False] * len(nodes)
+            for node in nodes:
+                if feeds[node.index]:
+                    on_path[node.index] = node.index in wrt or any(on_path[i] for i in node.inputs)
+            has_adjoint[targets[0]] = True
+            for node in reversed(nodes):
+                if not (node.inputs and on_path[node.index] and has_adjoint[node.index]):
+                    continue
+                op = _OPS[node.op]
+                contribs = [(k, i, text) for k, (i, text) in enumerate(zip(node.inputs, op.backward))
+                            if on_path[i] and text is not None]
+                if not contribs:
+                    continue
+                used = _fields(op.pre + tuple(text for _, _, text in contribs))
+                backward.append((node, op, contribs, used))
+                for _, i, _ in contribs:
+                    has_adjoint[i] = True
+                for field in used:
+                    if field.isdigit():
+                        keep_value(node.inputs[int(field)])
+                    elif field == "y":
+                        keep_value(node.index)
+        else:
+            for idx in targets:
+                keep_value(idx)
+        for node in nodes:
+            if feeds[node.index] and node.inputs and _OPS[node.op].checks:
+                keep_value(node.index)
+
+        exact = []  # the runtime shape is the declared one
+        for node in nodes:
+            exact.append(None not in node.shape and all(exact[i] for i in node.inputs))
+
+        def shape_of(idx):
+            """Source for the runtime shape of a node's value, computing the value only if needed."""
+            node = nodes[idx]
+            if exact[idx]:
+                return repr(node.shape)
+            if node.inputs and not keep[idx]:  # leaves are always bound
+                full = [i for i in node.inputs if len(nodes[i].shape) == len(node.shape)]
+                if _OPS[node.op].elementwise and len(full) == 1:
+                    return shape_of(full[0])  # the other inputs are scalars
+                keep_value(idx)
+            return f"v{idx}.shape"
+
+        ns = {
+            "_np": np, "_densities": densities, "_sigmoid": _sigmoid, "_softmax": _softmax,
+            "_conform": self._conform, "_MissingFeed": MissingFeed,
+        }
+
+        def fill(text, node, **fields):
+            for j, (key, value) in enumerate(node.attrs.items()):
+                ns[f"a{node.index}_{j}"] = value
+                fields[key] = f"a{node.index}_{j}"
+            return text.format(*(f"v{i}" for i in node.inputs), **fields)
+
+        grad_lines, results = [], []
+        if grad:
+            grad_lines.append(f"g{targets[0]} = _np.ones((), dtype=_np.float64)")
+            assigned = set()
+            for node, op, contribs, used in backward:
+                idx = node.index
+                fields = {"g": f"g{idx}", "y": f"v{idx}", "t": f"t{idx}_"}
+                if "shape0" in used:
+                    fields["shape0"] = shape_of(node.inputs[0])
+                grad_lines.extend(fill(text, node, **fields) for text in op.pre)
+                for k, i, text in contribs:
+                    term = fill(text, node, **fields)
+                    if op.elementwise and nodes[i].shape == () and node.shape != ():
+                        term = f"_np.sum({term})"
+                    elif op.rows_of_input0 and k and len(nodes[node.inputs[0]].shape) == 2:
+                        term = f"_np.sum({term}, axis=0)"
+                    grad_lines.append(f"g{i} = g{i} + ({term})" if i in assigned else f"g{i} = {term}")
+                    assigned.add(i)
+            for k, name in enumerate(names):
+                idx = self._variables[name]
+                ns[f"_w{k}"] = name
+                value = (f"_np.asarray(g{idx}, dtype=_np.float64)" if has_adjoint[idx]
+                         else f"_np.zeros({nodes[idx].shape!r}, dtype=_np.float64)")
+                results.append(f"_w{k}: {value}")
+        else:
+            for k, (name, idx) in enumerate(zip(names, targets)):
+                ns[f"_o{k}"] = name
+                results.append(f"_o{k}: v{idx}" + ("" if nodes[idx].inputs else ".copy()"))
+
+        lines = []
+        for node in nodes:
             idx = node.index
             if not feeds[idx]:
                 continue
-            on_path[idx] = idx in wrt or any(on_path[i] for i in node.inputs)
             if node.op == "constant":
-                slots[idx] = node.attrs["value"]
+                ns[f"v{idx}"] = node.attrs["value"]
             elif not node.inputs:
-                leaves.append((idx, node.attrs["name"], node))
-            else:
-                forward.append((idx, _FORWARD[node.op], node))
-                if on_path[idx]:
-                    need = tuple(on_path[i] for i in node.inputs)
-                    backward.append((idx, _BACKWARD[node.op], node, need))
-        return _Plan(tuple(targets), tuple(slots), tuple(leaves), tuple(forward), tuple(reversed(backward)))
-
-    def _run(self, plan: _Plan, bindings: Mapping[str, Any]) -> list:
-        """Bind the plan's leaves, then run its forward kernels; returns every slot."""
-        values = list(plan.slots)
-        for idx, name, node in plan.leaves:
-            if name not in bindings:
-                raise MissingFeed(f"no binding supplied for leaf {name!r}")
-            values[idx] = self._conform(bindings[name], node)
-        for idx, forward, node in plan.forward:
-            values[idx] = forward(node, values)
-        return values
+                ns[f"_n{idx}"], ns[f"_node{idx}"] = node.attrs["name"], node
+                lines += [f"if _n{idx} not in bindings:",
+                          f"    raise _MissingFeed('no binding supplied for leaf ' + repr(_n{idx}))",
+                          f"v{idx} = _conform(bindings[_n{idx}], _node{idx})"]
+        lines += [f"v{node.index} = " + fill(_OPS[node.op].forward, node)
+                  for node in nodes if keep[node.index] and node.inputs]
+        lines += grad_lines
+        lines.append("return {" + ", ".join(results) + "}")
+        source = "def plan(bindings):\n" + "".join(f"    {line}\n" for line in lines)
+        exec(compile(source, "<gradmc plan>", "exec"), ns)
+        return ns["plan"]
 
     @staticmethod
     def _conform(raw, node) -> np.ndarray:
         arr = as_tensor(raw)
         declared = node.shape
-        if _dims_compatible(declared, arr.shape):
+        if arr.shape == declared or _dims_compatible(declared, arr.shape):
             return arr
         # Column placeholders accept vectors: (n,) feeds a declared (n, 1).
         if (

@@ -517,7 +517,8 @@ class ChainOutput:
     """Result of a convenience-loop run.
 
     ``samples[name]`` stacks the post-update parameter values, one leading row
-    per iteration.  When a hook was given, only its outputs are kept.
+    per iteration.  When a hook was given, only its outputs are kept, in
+    iteration order, and a ``None`` output is not kept.
     ``start_params`` is the state at iteration 0 (the mode estimate for CV
     algorithms, the user's initial values otherwise).
     """
@@ -533,7 +534,8 @@ def run_chain(model, dataset, initial_params, config, hook=None, rng=None) -> Ch
 
     ``hook``, when given, is called after every step with a detached copy of
     the parameters and only its return values are stored (constant-memory mode
-    for high-dimensional chains).
+    for high-dimensional chains).  A hook that returns ``None`` stores
+    nothing, so one that records elsewhere leaves ``hook_values`` empty.
     """
     handle = sampler_setup(model, dataset, initial_params, config, rng=rng).init()
     start = handle.get_params()
@@ -552,7 +554,9 @@ def run_chain(model, dataset, initial_params, config, hook=None, rng=None) -> Ch
             for name in model.param_names:
                 samples[name][t] = handle.state.params[name]
         else:
-            hook_values.append(hook(handle.get_params()))
+            value = hook(handle.get_params())
+            if value is not None:
+                hook_values.append(value)
     return ChainOutput(
         start_params=start,
         samples=samples,

@@ -194,6 +194,22 @@ def test_run_log_loss_computed_only_at_written_rows(nn_data, tmp_path, monkeypat
     assert trace[:, 0].astype(int).tolist() == [0, 10, 20, 30, 40]
 
 
+def test_run_recording_hook_keeps_no_hook_values(nn_data, tmp_path, monkeypatch):
+    outputs = []
+    original = gradmc.cli.run_chain
+
+    def keeping(*args, **kwargs):
+        outputs.append(original(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(gradmc.cli, "run_chain", keeping)
+    assert run_cli("run", "--data", nn_data, "--algorithm", "sgld", "--stepsize", "1e-5",
+                   "--minibatch-size", 50, "--n-iters", 30, "--seed", 4, "--chains", 2,
+                   "--out", tmp_path / "run") == 0
+    assert len(outputs) == 2
+    assert all(out.hook_values == [] for out in outputs)
+
+
 def test_run_full_chain_and_log_loss_modes_write_the_same_trace(nn_data, tmp_path):
     common = ["run", "--data", nn_data, "--algorithm", "sghmc", "--stepsize", "1e-5",
               "--minibatch-size", 50, "--n-iters", 35, "--burnin", 12, "--thin", 4,

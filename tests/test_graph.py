@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gradmc import GraphBuilder, MissingFeed, Rng, ShapeError, UnknownVariable, gen_synth
+from gradmc import DomainError, GraphBuilder, MissingFeed, Rng, ShapeError, UnknownVariable, gen_synth
 from gradmc.models import FAMILIES
 from oracles import assert_grad_close, finite_diff_grad
 
@@ -539,3 +539,51 @@ def test_single_parameter_gradient_is_bit_identical_to_its_entry(family):
             single = model.graph.grad(objective, [name], bindings)
             assert list(single) == [name]
             assert _same_bits(single[name], full[name]), (objective, name)
+
+
+# -- checks and pruning in compiled plans ----------------------------------------------
+
+@pytest.mark.parametrize("bad", [-1.0, 3.0, 1.5])
+def test_grad_rejects_bad_categorical_labels(bad):
+    b = GraphBuilder()
+    logits = b.variable("logits", (4, 3))
+    labels = b.placeholder("y", (None,))
+    g = b.build({"out": b.reduce_sum(b.categorical_logpdf(b.softmax(logits), labels))})
+    bindings = {"logits": np.zeros((4, 3)), "y": np.array([0.0, 2.0, 1.0, 0.0])}
+    assert g.grad("out", ["logits"], bindings)["logits"].shape == (4, 3)
+    bindings["y"] = np.array([0.0, 2.0, bad, 0.0])
+    with pytest.raises(DomainError):
+        g.grad("out", ["logits"], bindings)
+
+
+def test_grad_skips_forward_values_no_gradient_reads(monkeypatch):
+    import gradmc.densities
+    from gradmc.models import build_gaussian
+
+    calls = []
+    original = gradmc.densities.normal_logpdf
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(gradmc.densities, "normal_logpdf", counted)
+    model = build_gaussian()
+    bindings = {"theta": 0.3, "x": np.linspace(-1.0, 1.0, 7), "__grad_scale__": 2.0}
+    grads = model.graph.grad("objective", ("theta",), bindings)
+    assert len(calls) == 0
+    assert grads["theta"] == pytest.approx(2.0 * np.sum(bindings["x"] - 0.3) - 0.3 / 10.0, rel=1e-12)
+    model.graph.eval(bindings, ["objective"])
+    assert len(calls) == 2
+
+
+def test_leaf_names_reach_plans_as_data():
+    name = 'x"); import os; ("'
+    b = GraphBuilder()
+    x = b.variable(name, (2,))
+    g = b.build({"out": b.reduce_sum(b.square(x)), "x2": b.square(x)})
+    assert g.eval({name: [1.0, 2.0]}, ["out"])["out"] == 5.0
+    np.testing.assert_array_equal(g.grad("out", [name], {name: [1.0, 2.0]})[name], [2.0, 4.0])
+    with pytest.raises(MissingFeed, match="import os"):
+        g.grad("out", [name], {})
+

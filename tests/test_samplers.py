@@ -516,6 +516,19 @@ def test_identity_hook_matches_full_storage():
     np.testing.assert_array_equal(np.asarray(hooked.hook_values), full.samples["theta"])
 
 
+def test_hook_returning_none_stores_nothing():
+    model, dataset, _ = make_gaussian_setup(n=30, seed=5)
+    base = dict(algorithm="sgld", stepsize=1e-3, minibatch_size=5, n_iters=40, seed=21)
+    full = run_chain(model, dataset, {"theta": 0.0}, SamplerConfig(**base))
+    count = itertools.count(1)
+    every_fourth = run_chain(model, dataset, {"theta": 0.0}, SamplerConfig(**base),
+                             hook=lambda params: float(params["theta"]) if next(count) % 4 == 0 else None)
+    np.testing.assert_array_equal(every_fourth.hook_values, full.samples["theta"][3::4])
+    silent = run_chain(model, dataset, {"theta": 0.0}, SamplerConfig(**base), hook=lambda params: None)
+    assert silent.hook_values == []
+    assert np.array_equal(silent.final_state.params["theta"], full.final_state.params["theta"])
+
+
 def test_running_mean_hook_matches_batch_mean():
     model, dataset, _ = make_gaussian_setup(n=30, seed=5)
     base = dict(algorithm="sgld", stepsize=1e-3, minibatch_size=5, n_iters=1000, seed=22)

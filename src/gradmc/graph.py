@@ -18,8 +18,15 @@ emitting.  A gradient plan computes only the contributions someone consumes,
 so data, constants and variables nobody asked for cost no backward work, and
 only the forward values its backward steps read, so the objective's own value
 is never computed.  Forwards that validate their inputs (the labels of
-``categorical_logpdf``) run under ``grad`` too.  Plans never change once
-built, so graphs stay immutable and shareable across threads.
+``categorical_logpdf``) run under ``grad`` too.  The rank-0 adjoint of a
+``reduce_sum`` is passed on as it is wherever every term that reads it
+already has the summed node's full shape (the per-row terms of the log
+densities, for one); it is broadcast only where a term needs the full shape
+from it: a pass-through of ``add``/``subtract``/``negate``, a sum into a
+scalar input, ``matmul``, ``broadcast_add`` and a returned gradient.  The
+results are the same bits either way.  Every returned gradient is an array
+of its own, writeable and of the variable's declared shape.  Plans never
+change once built, so graphs stay immutable and shareable across threads.
 """
 
 from __future__ import annotations
@@ -142,20 +149,32 @@ class _Op(NamedTuple):
     """Source templates of one primitive, filled in by ``Graph._compile``.
 
     Fields: ``{0}``, ``{1}``, ... an input's value; ``{y}`` the node's own
-    value; ``{g}`` its adjoint; ``{shape0}`` only the shape of input 0;
-    ``{t}`` a prefix for temporaries; any other name an entry of the node's
-    attrs.  The fields a backward template uses are what it reads, which is
-    what lets a plan skip forward values that no gradient reads.
+    value; ``{g}`` its adjoint; ``{t}`` a prefix for temporaries; any other
+    name an entry of the node's attrs.  The fields a backward template uses
+    are what it reads, which is what lets a plan skip forward values that no
+    gradient reads.
+
+    ``{g}`` may be rank-0 where only ``reduce_sum`` nodes consume the node:
+    the emitter leaves the sum's adjoint unbroadcast wherever every
+    contribution of the node has the node's full shape anyway, which it
+    decides from ranks.
     """
 
     forward: str
     backward: tuple  # one contribution per input; None where no gradient flows
     pre: tuple = ()  # statements the contributions share
     # The output has the inputs' broadcast shape, and so does each
-    # contribution; one to a scalar input is summed to a scalar.
+    # contribution; one to a scalar input is summed to a scalar.  A
+    # contribution that reads {y} or an input of the output's rank has the
+    # full shape whatever {g}'s.
     elementwise: bool = False
     # Contributions to inputs 1.. have input 0's rank and are summed over its rows.
     rows_of_input0: bool = False
+    # Every contribution combines {g} elementwise with a full-shaped
+    # temporary, so it has the full shape whatever {g}'s.
+    full_terms: bool = False
+    # The one contribution is {g} at input 0's shape (the adjoint of a sum).
+    sums: bool = False
     checks: bool = False  # the forward validates its inputs, so grad runs it too
 
 
@@ -167,7 +186,7 @@ _OPS = {
     "divide": _Op("{0} / {1}", ("{g} / {1}", "-{g} * {0} / ({1} * {1})"), elementwise=True),
     "negate": _Op("-{0}", ("-{g}",), elementwise=True),
     "matmul": _Op("{0} @ {1}", ("{g} @ {1}.T", "{0}.T @ {g}")),
-    "reduce_sum": _Op("_np.sum({0})", ("_np.broadcast_to({g}, {shape0})",)),
+    "reduce_sum": _Op("_np.sum({0})", ("{g}",), sums=True),
     "exp": _Op("_np.exp({0})", ("{g} * {y}",), elementwise=True),
     "log": _Op("_np.log({0})", ("{g} / {0}",), elementwise=True),
     # sign(0) = 0: the subgradient of |x| at the kink is taken as 0.
@@ -184,17 +203,17 @@ _OPS = {
     "normal_logpdf": _Op(
         "_densities.normal_logpdf({0}, {1}, {2})",
         ("-{g} * {t}z / {2}", "{g} * {t}z / {2}", "{g} * ({t}z * {t}z - 1.0) / {2}"),
-        pre=_Z_PRE, elementwise=True,
+        pre=_Z_PRE, elementwise=True, full_terms=True,
     ),
     "mvnormal_diag_logpdf": _Op(
         "_densities.mvnormal_diag_logpdf({0}, {1}, {2})",
         ("-{t}ge * {t}z / {2}", "{t}ge * {t}z / {2}", "{t}ge * ({t}z * {t}z - 1.0) / {2}"),
-        pre=_Z_PRE + ("{t}ge = _np.asarray({g})[..., None]",), rows_of_input0=True,
+        pre=_Z_PRE + ("{t}ge = _np.asarray({g})[..., None]",), rows_of_input0=True, full_terms=True,
     ),
     "laplace_logpdf": _Op(
         "_densities.laplace_logpdf({0}, {1}, {2})",
         ("-{g} * {t}s / {2}", "{g} * {t}s / {2}", "{g} * (_np.abs({t}diff) / ({2} * {2}) - 1.0 / {2})"),
-        pre=("{t}diff = {0} - {1}", "{t}s = _np.sign({t}diff)"), elementwise=True,
+        pre=("{t}diff = {0} - {1}", "{t}s = _np.sign({t}diff)"), elementwise=True, full_terms=True,
     ),
     # NaN outside the support so divergent chains trip the finiteness checks.
     "gamma_logpdf": _Op(
@@ -213,7 +232,7 @@ _OPS = {
             "{t}gprobs[{t}rows, {t}idx] = _np.where("
             "{t}picked > _densities.PROB_CLAMP, _np.asarray({g}) / {t}picked, 0.0)",
         ),
-        checks=True,
+        full_terms=True, checks=True,
     ),
     "mixture2_logpdf": _Op(
         "_densities.mixture2_logpdf({0}, {1}, {2}, {scale1}, {scale2}, {weights}[0], {weights}[1])",
@@ -233,6 +252,7 @@ _OPS = {
             "{t}z1 = ({0} - {1}) / {scale1}",
             "{t}z2 = ({0} - {2}) / {scale2}",
         ),
+        full_terms=True,
     ),
 }
 _FIELDS = string.Formatter()
@@ -447,6 +467,29 @@ class GraphBuilder:
 
     # -- internals -------------------------------------------------------------
 
+    def _renamed_copy(self, root: NodeRef, prefix: str) -> NodeRef:
+        """``root`` again, over new variables named ``prefix`` + each variable's name.
+
+        Every variable gets its copy; a node that feeds ``root`` and depends on
+        a variable is copied, in node order.  Data leaves, constants and
+        data-only subexpressions are shared with the original.
+        """
+        nodes = list(self._nodes)
+        feeds, stack = set(), [root.index]
+        while stack:
+            idx = stack.pop()
+            if idx not in feeds:
+                feeds.add(idx)
+                stack.extend(nodes[idx].inputs)
+        copies = {}
+        for node in nodes:
+            if node.op == "variable":
+                copies[node.index] = self.variable(prefix + node.attrs["name"], node.shape).index
+            elif node.index in feeds and any(i in copies for i in node.inputs):
+                inputs = tuple(NodeRef(self, copies.get(i, i), nodes[i].shape) for i in node.inputs)
+                copies[node.index] = self._append(node.op, inputs, node.shape, node.attrs).index
+        return NodeRef(self, copies.get(root.index, root.index), root.shape)
+
     def _check_leaf_name(self, name):
         if not name:
             raise ShapeError("leaf names must be non-empty")
@@ -483,7 +526,9 @@ class Graph:
     for ``grad``, one line per gradient contribution, in reverse node order.
     ``grad`` never computes the objective's value, nor any other forward
     value that no backward step reads; a forward that validates its inputs
-    (``categorical_logpdf``'s labels) still runs.  Plans never change once
+    (``categorical_logpdf``'s labels) still runs.  A ``reduce_sum`` adjoint
+    stays rank-0 where every term that reads it has the summed node's shape
+    anyway, and is broadcast elsewhere.  Plans never change once
     built, and two threads that race to build one build equal functions, so a
     graph is shareable across threads without a lock; repeated calls with the
     same bindings return bit-identical results.
@@ -584,7 +629,7 @@ class Graph:
                     stack.extend(nodes[i].inputs)
 
         # Which backward contributions run, and what they read.
-        backward = []  # (node, op, [(input position, input index, template)], fields) in reverse order
+        backward = []  # (node, op, [(input position, input index, template)]) in reverse order
         has_adjoint = [False] * len(nodes)
         if grad:
             wrt = {self._variables[name] for name in names}
@@ -602,7 +647,7 @@ class Graph:
                 if not contribs:
                     continue
                 used = _fields(op.pre + tuple(text for _, _, text in contribs))
-                backward.append((node, op, contribs, used))
+                backward.append((node, op, contribs))
                 for _, i, _ in contribs:
                     has_adjoint[i] = True
                 for field in used:
@@ -646,26 +691,49 @@ class Graph:
 
         grad_lines, results = [], []
         if grad:
+            readers = {node.index: (op, contribs) for node, op, contribs in backward}
+
+            def full_shaped(idx):
+                """Whether every term reading idx's adjoint has idx's shape even with a rank-0 adjoint."""
+                if idx in wrt:  # a returned gradient
+                    return False
+                if idx not in readers:
+                    return True
+                op, contribs = readers[idx]
+                rank = len(nodes[idx].shape)
+                return op.full_terms or op.elementwise and all(
+                    any(f == "y" or f.isdigit() and len(nodes[nodes[idx].inputs[int(f)]].shape) == rank
+                        for f in _fields([text]))
+                    for _, _, text in contribs)
+
             grad_lines.append(f"g{targets[0]} = _np.ones((), dtype=_np.float64)")
-            assigned = set()
-            for node, op, contribs, used in backward:
+            assigned, views = set(), set()  # views: adjoints that are another's array or a view of it
+            for node, op, contribs in backward:
                 idx = node.index
                 fields = {"g": f"g{idx}", "y": f"v{idx}", "t": f"t{idx}_"}
-                if "shape0" in used:
-                    fields["shape0"] = shape_of(node.inputs[0])
                 grad_lines.extend(fill(text, node, **fields) for text in op.pre)
                 for k, i, text in contribs:
                     term = fill(text, node, **fields)
+                    view = text == "{g}"
                     if op.elementwise and nodes[i].shape == () and node.shape != ():
-                        term = f"_np.sum({term})"
+                        term, view = f"_np.sum({term})", False
                     elif op.rows_of_input0 and k and len(nodes[node.inputs[0]].shape) == 2:
                         term = f"_np.sum({term}, axis=0)"
-                    grad_lines.append(f"g{i} = g{i} + ({term})" if i in assigned else f"g{i} = {term}")
+                    elif op.sums and nodes[i].shape != () and not full_shaped(i):
+                        term = f"_np.broadcast_to({term}, {shape_of(i)})"
+                    if i in assigned:
+                        grad_lines.append(f"g{i} = g{i} + ({term})")
+                        views.discard(i)
+                    else:
+                        grad_lines.append(f"g{i} = {term}")
+                        if view:
+                            views.add(i)
                     assigned.add(i)
             for k, name in enumerate(names):
                 idx = self._variables[name]
                 ns[f"_w{k}"] = name
-                value = (f"_np.asarray(g{idx}, dtype=_np.float64)" if has_adjoint[idx]
+                copy = "array" if idx in views else "asarray"
+                value = (f"_np.{copy}(g{idx}, dtype=_np.float64)" if has_adjoint[idx]
                          else f"_np.zeros({nodes[idx].shape!r}, dtype=_np.float64)")
                 results.append(f"_w{k}: {value}")
         else:

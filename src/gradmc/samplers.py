@@ -54,6 +54,10 @@ CV_ALGORITHMS = ("sgldcv", "sghmccv", "sgnhtcv")
 # Reserved placeholder that scales the minibatch log likelihood inside the
 # combined objective, so one backward pass yields the whole gradient estimate.
 _SCALE = "__grad_scale__"
+# Reserved prefix of the variables that hold the mode in the control-variate
+# pair objective, and the output that sums the objective at both points.
+_MODE = "__mode__"
+_PAIR = "__cv_pair__"
 
 
 class Model:
@@ -62,6 +66,13 @@ class Model:
     The log likelihood must be a sum of per-observation terms over whatever
     minibatch is fed, which is what makes the rescaled minibatch estimate
     unbiased.  The default prior is the constant 0 (improper flat).
+
+    The graph also holds a reserved copy of every variable, named
+    ``__mode__`` + its name, and a reserved output ``__cv_pair__``: the
+    objective plus the same objective over those copies, with the data
+    shared.  It lets :func:`cv_gradient` take both of its minibatch gradients
+    in one call.  The copies are not parameters: ``param_names``,
+    ``param_shapes`` and ``data_names`` never list them.
     """
 
     def __init__(
@@ -84,6 +95,7 @@ class Model:
             "log_lik": log_lik,
             "log_prior": log_prior,
             "objective": objective,
+            _PAIR: objective + builder._renamed_copy(objective, _MODE),
         }
         if extra_outputs:
             outputs.update(extra_outputs)
@@ -91,8 +103,11 @@ class Model:
         self.param_shapes = {
             name: shape
             for name, shape in self.graph.variables.items()
+            if not name.startswith(_MODE)
         }
         self.param_names = tuple(sorted(self.param_shapes))
+        self._mode_names = {name: _MODE + name for name in self.param_names}
+        self._pair_wrt = self.param_names + tuple(self._mode_names.values())
         self.data_names = tuple(
             name for name in self.graph.placeholders if name != _SCALE
         )
@@ -247,13 +262,19 @@ def cv_gradient(
     Full gradient at the mode, recentred by the difference of the minibatch
     estimates at the current point and at the mode - both on the SAME
     minibatch, so the two noisy terms cancel exactly when params equal the
-    mode.
+    mode.  Both estimates come from one gradient call on the model's pair
+    objective, with the mode bound to its reserved variable copies; each
+    half is bit-identical to ``estimate_gradient`` at its point.
     """
-    g_here = estimate_gradient(model, params, minibatch, n_total)
-    g_mode = estimate_gradient(model, cv.mode_params, minibatch, n_total)
+    bindings = dict(minibatch.views)
+    bindings.update(params)
+    for name, copy_name in model._mode_names.items():
+        bindings[copy_name] = cv.mode_params[name]
+    bindings[_SCALE] = n_total / minibatch.size
+    grads = model.graph.grad(_PAIR, model._pair_wrt, bindings)
     return {
-        name: cv.full_grad[name] + (g_here[name] - g_mode[name])
-        for name in model.param_names
+        name: cv.full_grad[name] + (grads[name] - grads[copy_name])
+        for name, copy_name in model._mode_names.items()
     }
 
 

@@ -183,6 +183,21 @@ def _random_primitive_graphs():
             lambda b: b.reduce_sum(b.gamma_logpdf(b.variable("lam", ()), shape_param=2.0, rate=1.5)),
             {"lam": np.asarray(1.7)},
         ),
+        # reduce_sum adjoints: broadcast where a term needs them at full shape,
+        # left rank-0 where every term has that shape anyway.
+        "sum_of_shift": (lambda b: b.reduce_sum(b.constant(rng.standard_normal(5)) + b.variable("theta", ())),
+                         {"theta": rng.standard_normal(())}),
+        "sum_of_matmul": (lambda b: b.reduce_sum(b.matmul(b.constant(rng.standard_normal((4, 3))),
+                                                          b.variable("beta", (3, 1)))),
+                          {"beta": rng.standard_normal((3, 1))}),
+        "sum_of_broadcast_add": (
+            lambda b: b.reduce_sum(b.broadcast_add(b.constant(rng.standard_normal((4, 3))), b.variable("v", (3,)))),
+            {"v": rng.standard_normal(3)},
+        ),
+        "sum_of_normal_vector": (
+            lambda b: b.reduce_sum(b.normal_logpdf(b.variable("theta", (5,)), 0.0, b.constant(1.5))),
+            {"theta": rng.standard_normal(5)},
+        ),
         "mixture2": (
             lambda b: b.reduce_sum(
                 b.mixture2_logpdf(
@@ -560,21 +575,61 @@ def test_grad_skips_forward_values_no_gradient_reads(monkeypatch):
     import gradmc.densities
     from gradmc.models import build_gaussian
 
-    calls = []
+    calls, broadcasts = [], []
     original = gradmc.densities.normal_logpdf
+    original_broadcast = np.broadcast_to
 
     def counted(*args):
         calls.append(1)
         return original(*args)
 
+    def counted_broadcast(*args, **kwargs):
+        broadcasts.append(1)
+        return original_broadcast(*args, **kwargs)
+
     monkeypatch.setattr(gradmc.densities, "normal_logpdf", counted)
+    monkeypatch.setattr(np, "broadcast_to", counted_broadcast)
     model = build_gaussian()
     bindings = {"theta": 0.3, "x": np.linspace(-1.0, 1.0, 7), "__grad_scale__": 2.0}
     grads = model.graph.grad("objective", ("theta",), bindings)
     assert len(calls) == 0
+    assert len(broadcasts) == 0  # the sums' adjoints stay rank-0
     assert grads["theta"] == pytest.approx(2.0 * np.sum(bindings["x"] - 0.3) - 0.3 / 10.0, rel=1e-12)
     model.graph.eval(bindings, ["objective"])
     assert len(calls) == 2
+
+
+def _returned_gradient_graphs():
+    def sum_of_vector(b):
+        return b.reduce_sum(b.variable("t", (3,)))
+
+    def sum_of_scalar(b):
+        return b.reduce_sum(b.variable("t", ()))
+
+    def sum_of_two_scalars(b):
+        return b.variable("t", ()) + b.variable("u", ())
+
+    def sum_through_add(b):
+        return b.reduce_sum(b.variable("t", (3,)) + b.variable("u", (3,)))
+
+    return {f.__name__: f for f in (sum_of_vector, sum_of_scalar, sum_of_two_scalars, sum_through_add)}
+
+
+@pytest.mark.parametrize("name", sorted(_returned_gradient_graphs()))
+def test_returned_gradients_are_owned_writeable_arrays(name):
+    graph = scalar_graph(_returned_gradient_graphs()[name])
+    shapes = graph.variables
+    bindings = {n: np.full(shape, 0.5) for n, shape in shapes.items()}
+    grads = graph.grad("out", sorted(shapes), bindings)
+    for n, value in grads.items():
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64
+        assert value.shape == shapes[n] and value.flags.writeable and value.base is None
+        np.testing.assert_array_equal(value, np.ones(shapes[n]))
+        value += 1.0  # a caller's in-place update touches nothing else
+    again = graph.grad("out", sorted(shapes), bindings)
+    for n in grads:
+        np.testing.assert_array_equal(grads[n], np.full(shapes[n], 2.0))
+        np.testing.assert_array_equal(again[n], np.ones(shapes[n]))
 
 
 def test_leaf_names_reach_plans_as_data():

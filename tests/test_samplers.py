@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from gradmc import (
+    FAMILIES,
     ChainState,
     ConfigError,
     Dataset,
+    Graph,
     GraphBuilder,
     LifecycleError,
     Minibatch,
@@ -26,6 +28,7 @@ from gradmc import (
     estimate_gradient,
     find_mode,
     full_log_posterior_grad,
+    gen_synth,
     run_chain,
     sample_minibatch,
     sampler_setup,
@@ -284,6 +287,58 @@ def test_cv_gradient_reduces_variance():
         plain[i] = estimate_gradient(model, theta, mb, dataset.n)["theta"]
         recentred[i] = cv_gradient(model, theta, cv, mb, dataset.n)["theta"]
     assert recentred.var() < plain.var()
+
+
+_FAMILY_NAMES = {
+    # family: (param_names, data_names)
+    "gaussian": (("theta",), ("x",)),
+    "gaussian_mixture": (("theta1", "theta2"), ("x",)),
+    "logistic_regression": (("beta", "bias"), ("X", "y")),
+    "bayes_nn": (("A", "B", "a", "b", "lambda_A", "lambda_B", "lambda_a", "lambda_b"), ("X", "y")),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_NAMES))
+def test_cv_gradient_is_one_grad_call_bit_equal_to_two(family, monkeypatch):
+    spec = FAMILIES[family]
+    small_nn = {"input_dim": 5, "hidden": 4, "classes": 3}
+    model = spec.build(**(small_nn if family == "bayes_nn" else spec.hyper_defaults))
+    gen_kwargs = {"d": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else (
+        {"d": 5} if family == "logistic_regression" else {})
+    dataset = gen_synth(family, 60, Rng(8), n_test=2, **gen_kwargs).train
+    start = model.check_params(spec.init_params(model, Rng(9)))
+    mode = {name: value + 0.01 for name, value in start.items()}
+    cv = ControlVariateState(mode_params=mode, full_grad=full_log_posterior_grad(model, dataset, mode))
+
+    # The reserved mode copies are not parameters or data.
+    param_names, data_names = _FAMILY_NAMES[family]
+    assert model.param_names == param_names
+    assert model.data_names == data_names
+    assert model.param_shapes == {name: model.graph.variables[name] for name in param_names}
+
+    reference = Graph.grad
+    calls = []
+
+    def counted(self, objective, wrt, bindings):
+        calls.append(objective)
+        return reference(self, objective, wrt, bindings)
+
+    monkeypatch.setattr(Graph, "grad", counted)
+    rng = Rng(4)
+    for point in (mode, start):
+        mb = sample_minibatch(dataset, 7, rng)
+        halves = [
+            reference(model.graph, "objective", model.param_names,
+                      {**mb.views, **params, "__grad_scale__": dataset.n / mb.size})
+            for params in (point, mode)
+        ]
+        calls.clear()
+        got = cv_gradient(model, point, cv, mb, dataset.n)
+        assert len(calls) == 1
+        assert list(got) == list(model.param_names)
+        for name in model.param_names:
+            want = cv.full_grad[name] + (halves[0][name] - halves[1][name])
+            assert want.shape == got[name].shape and want.tobytes() == got[name].tobytes(), name
 
 
 # -- find_mode -----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -50,12 +51,13 @@ TEST_FUNCTIONS = ("full-chain", "log-loss", "running-mean")
 # ---------------------------------------------------------------------------
 
 def _hyper_from_args(family_name, args) -> dict:
-    hyper = dict(FAMILIES[family_name].hyper_defaults)
+    hyper = FAMILIES[family_name].hyper_defaults
+    # --d sets the feature dimension under whichever name the family's builder uses.
     overrides = {
         "d": args.d,
+        "input_dim": args.d,
         "hidden": args.hidden,
         "classes": args.classes,
-        "input_dim": args.d if family_name == "bayes_nn" else None,
         "prior_variance": args.prior_variance,
     }
     for key, value in overrides.items():
@@ -68,8 +70,7 @@ def cmd_gen(args) -> int:
     if args.model not in FAMILIES:
         raise ConfigError(f"unknown model {args.model!r}; choose from {sorted(FAMILIES)}")
     hyper = _hyper_from_args(args.model, args)
-    n_test = args.n_test if args.n_test is not None else max(2, args.n // 5)
-    generated = gen_synth(args.model, args.n, Rng(args.seed), n_test=n_test, **hyper)
+    generated = gen_synth(args.model, args.n, Rng(args.seed), n_test=args.n_test, **hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_csv_columns(out / "train.csv", dict(generated.train.entries))
@@ -77,7 +78,7 @@ def cmd_gen(args) -> int:
     meta = {
         "model": args.model,
         "n": args.n,
-        "n_test": n_test,
+        "n_test": generated.test.n,
         "seed": args.seed,
         "hyper": hyper,
         "true_params": generated.true_params,
@@ -130,16 +131,12 @@ def _parse_stepsize(entries) -> float | dict:
     return scalars[0]
 
 
-def _resolve_burnin(args_burnin, algorithm, n_iters) -> int:
+def _resolve_burnin(burnin, config: SamplerConfig) -> int:
     # Plain kernels discard an initial stretch; CV kernels replace burn-in
     # with the mode-search phase and keep the whole chain.
-    if args_burnin is not None:
-        burnin = int(args_burnin)
-    elif algorithm.endswith("cv"):
-        burnin = 0
-    else:
-        burnin = 10_000
-    return min(max(burnin, 0), n_iters)
+    if burnin is None:
+        burnin = 0 if config.algorithm.endswith("cv") else 10_000
+    return min(max(int(burnin), 0), config.n_iters)
 
 
 def _log_loss_fn(meta, model, test: Dataset):
@@ -185,21 +182,14 @@ def cmd_run(args) -> int:
     test_path = data_dir / "test.csv"
     test = Dataset(load_csv_columns(test_path)) if test_path.exists() else None
 
-    stepsize = _parse_stepsize(args.stepsize)
-    config = SamplerConfig(
-        algorithm=args.algorithm,
-        stepsize=stepsize,
-        minibatch_size=args.minibatch_size,
-        n_iters=args.n_iters,
-        seed=args.seed,
-        friction=args.friction,
-        diffusion=args.diffusion,
-        trajectory_length=args.trajectory_length,
-        opt_stepsize=args.opt_stepsize,
-        opt_iters=args.opt_iters,
-    )
+    # Every SamplerConfig field is a run flag of the same name; one left unset
+    # takes the dataclass default.
+    settings = {f.name: getattr(args, f.name) for f in fields(SamplerConfig)}
+    settings = {name: value for name, value in settings.items() if value is not None}
+    settings["stepsize"] = _parse_stepsize(args.stepsize)
+    config = SamplerConfig(**settings)
     config.validate(model.param_names)
-    burnin = _resolve_burnin(args.burnin, args.algorithm, args.n_iters)
+    burnin = _resolve_burnin(args.burnin, config)
     thin = int(args.thin)
     if thin < 1:
         raise ConfigError("thinning interval must be at least 1")
@@ -279,18 +269,10 @@ def cmd_run(args) -> int:
         "data_dir": str(data_dir),
         "model": meta["model"],
         "hyper": meta["hyper"],
-        "algorithm": config.algorithm,
+        **asdict(config),
         "stepsize": config.resolved_stepsizes(model.param_names),
-        "minibatch_size": config.minibatch_size,
-        "n_iters": config.n_iters,
         "burnin": burnin,
         "thin": thin,
-        "seed": config.seed,
-        "friction": config.friction,
-        "diffusion": config.diffusion,
-        "trajectory_length": config.trajectory_length,
-        "opt_stepsize": config.opt_stepsize,
-        "opt_iters": config.opt_iters,
         "test_function": args.test_function,
         "chains": n_chains,
         "elapsed_seconds": elapsed,
@@ -426,17 +408,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         action=_StepsizeAction,
         help="scalar, or repeated name=value entries for per-parameter stepsizes",
     )
-    run.add_argument("--minibatch-size", type=float, default=0.01,
+    # Sampler settings default to None here and to SamplerConfig's defaults in cmd_run.
+    run.add_argument("--minibatch-size", type=float,
                      help="proportion below 1, absolute count at 1 or above")
-    run.add_argument("--n-iters", type=int, default=10_000)
+    run.add_argument("--n-iters", type=int)
     run.add_argument("--burnin", type=int, default=None,
                      help="iterations discarded at write time (default 10000, 0 for cv kernels)")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--friction", type=float, default=0.01, help="sghmc momentum decay")
-    run.add_argument("--diffusion", type=float, default=0.01, help="sgnht noise scale")
-    run.add_argument("--trajectory-length", type=int, default=5, help="sghmc inner updates")
-    run.add_argument("--opt-stepsize", type=float, default=None, help="mode-search stepsize (cv)")
-    run.add_argument("--opt-iters", type=int, default=None, help="mode-search iterations (cv)")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--friction", type=float, help="sghmc momentum decay")
+    run.add_argument("--diffusion", type=float, help="sgnht noise scale")
+    run.add_argument("--trajectory-length", type=int, help="sghmc inner updates")
+    run.add_argument("--opt-stepsize", type=float, help="mode-search stepsize (cv)")
+    run.add_argument("--opt-iters", type=int, help="mode-search iterations (cv)")
     run.add_argument("--test-function", choices=TEST_FUNCTIONS, default="full-chain")
     run.add_argument("--thin", type=int, default=10)
     run.add_argument("--chains", type=int, default=1, help="independent parallel chains")

@@ -142,7 +142,7 @@ def _sigmoid(x):
 def _softmax(x):
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class _Op(NamedTuple):
@@ -186,7 +186,7 @@ _OPS = {
     "divide": _Op("{0} / {1}", ("{g} / {1}", "-{g} * {0} / ({1} * {1})"), elementwise=True),
     "negate": _Op("-{0}", ("-{g}",), elementwise=True),
     "matmul": _Op("{0} @ {1}", ("{g} @ {1}.T", "{0}.T @ {g}")),
-    "reduce_sum": _Op("_np.sum({0})", ("{g}",), sums=True),
+    "reduce_sum": _Op("{0}.sum()", ("{g}",), sums=True),
     "exp": _Op("_np.exp({0})", ("{g} * {y}",), elementwise=True),
     "log": _Op("_np.log({0})", ("{g} / {0}",), elementwise=True),
     # sign(0) = 0: the subgradient of |x| at the kink is taken as 0.
@@ -197,9 +197,9 @@ _OPS = {
     "sigmoid": _Op("_sigmoid({0})", ("{g} * {y} * (1.0 - {y})",), elementwise=True),
     "softmax": _Op(
         "_softmax({0})", ("{y} * ({g} - {t}inner)",),
-        pre=("{t}inner = _np.sum({g} * {y}, axis=-1, keepdims=True)",), elementwise=True,
+        pre=("{t}inner = ({g} * {y}).sum(axis=-1, keepdims=True)",), elementwise=True,
     ),
-    "broadcast_add": _Op("{0} + {1}", ("{g}", "_np.sum({g}, axis=0)")),
+    "broadcast_add": _Op("{0} + {1}", ("{g}", "{g}.sum(axis=0)")),
     "normal_logpdf": _Op(
         "_densities.normal_logpdf({0}, {1}, {2})",
         ("-{g} * {t}z / {2}", "{g} * {t}z / {2}", "{g} * ({t}z * {t}z - 1.0) / {2}"),
@@ -238,8 +238,8 @@ _OPS = {
         "_densities.mixture2_logpdf({0}, {1}, {2}, {scale1}, {scale2}, {weights}[0], {weights}[1])",
         (
             "-{t}g1 * {t}z1 / {scale1} - {t}g2 * {t}z2 / {scale2}",
-            "_np.sum({t}g1 * {t}z1 / {scale1}, axis=0)",
-            "_np.sum({t}g2 * {t}z2 / {scale2}, axis=0)",
+            "({t}g1 * {t}z1 / {scale1}).sum(axis=0)",
+            "({t}g2 * {t}z2 / {scale2}).sum(axis=0)",
         ),
         pre=(
             "{t}c1 = _densities.mvnormal_diag_logpdf({0}, {1}, {scale1})",
@@ -305,26 +305,16 @@ class GraphBuilder:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a, b) -> NodeRef:
-        a, b = self._lift(a), self._lift(b)
-        return self._append("add", (a, b), _elementwise_shape(a.shape, b.shape, "add"))
+        return self._binary("add", a, b)
 
     def subtract(self, a, b) -> NodeRef:
-        a, b = self._lift(a), self._lift(b)
-        return self._append(
-            "subtract", (a, b), _elementwise_shape(a.shape, b.shape, "subtract")
-        )
+        return self._binary("subtract", a, b)
 
     def multiply(self, a, b) -> NodeRef:
-        a, b = self._lift(a), self._lift(b)
-        return self._append(
-            "multiply", (a, b), _elementwise_shape(a.shape, b.shape, "multiply")
-        )
+        return self._binary("multiply", a, b)
 
     def divide(self, a, b) -> NodeRef:
-        a, b = self._lift(a), self._lift(b)
-        return self._append(
-            "divide", (a, b), _elementwise_shape(a.shape, b.shape, "divide")
-        )
+        return self._binary("divide", a, b)
 
     def negate(self, a) -> NodeRef:
         a = self._lift(a)
@@ -380,12 +370,7 @@ class GraphBuilder:
     # -- log densities -------------------------------------------------------
 
     def normal_logpdf(self, x, mean, sd) -> NodeRef:
-        x, mean, sd = self._lift(x), self._lift(mean), self._lift(sd)
-        shape = x.shape
-        for other, label in ((mean, "mean"), (sd, "sd")):
-            if other.shape != ():
-                shape = _merge_shape(shape, other.shape, f"normal_logpdf {label}")
-        return self._append("normal_logpdf", (x, mean, sd), shape)
+        return self._location_scale("normal_logpdf", x, mean, sd, ("mean", "sd"))
 
     def mvnormal_diag_logpdf(self, x, loc, scale) -> NodeRef:
         x, loc, scale = self._lift(x), self._lift(loc), self._lift(scale)
@@ -399,12 +384,7 @@ class GraphBuilder:
         return self._append("mvnormal_diag_logpdf", (x, loc, scale), out_shape)
 
     def laplace_logpdf(self, x, loc, scale) -> NodeRef:
-        x, loc, scale = self._lift(x), self._lift(loc), self._lift(scale)
-        shape = x.shape
-        for other, label in ((loc, "loc"), (scale, "scale")):
-            if other.shape != ():
-                shape = _merge_shape(shape, other.shape, f"laplace_logpdf {label}")
-        return self._append("laplace_logpdf", (x, loc, scale), shape)
+        return self._location_scale("laplace_logpdf", x, loc, scale, ("loc", "scale"))
 
     def gamma_logpdf(self, x, shape_param: float, rate: float) -> NodeRef:
         x = self._lift(x)
@@ -506,6 +486,19 @@ class GraphBuilder:
     def _unary(self, op, a) -> NodeRef:
         a = self._lift(a)
         return self._append(op, (a,), a.shape)
+
+    def _binary(self, op, a, b) -> NodeRef:
+        a, b = self._lift(a), self._lift(b)
+        return self._append(op, (a, b), _elementwise_shape(a.shape, b.shape, op))
+
+    def _location_scale(self, op, x, loc, scale, labels) -> NodeRef:
+        """A per-element log density: loc and scale are scalars or of x's shape."""
+        inputs = (self._lift(x), self._lift(loc), self._lift(scale))
+        shape = inputs[0].shape
+        for other, label in zip(inputs[1:], labels):
+            if other.shape != ():
+                shape = _merge_shape(shape, other.shape, f"{op} {label}")
+        return self._append(op, inputs, shape)
 
     def _append(self, op, inputs: tuple, shape: tuple, attrs=None) -> NodeRef:
         if self._built:
@@ -707,33 +700,30 @@ class Graph:
                     for _, _, text in contribs)
 
             grad_lines.append(f"g{targets[0]} = _np.ones((), dtype=_np.float64)")
-            assigned, views = set(), set()  # views: adjoints that are another's array or a view of it
+            assigned = set()
             for node, op, contribs in backward:
                 idx = node.index
                 fields = {"g": f"g{idx}", "y": f"v{idx}", "t": f"t{idx}_"}
                 grad_lines.extend(fill(text, node, **fields) for text in op.pre)
                 for k, i, text in contribs:
                     term = fill(text, node, **fields)
-                    view = text == "{g}"
                     if op.elementwise and nodes[i].shape == () and node.shape != ():
-                        term, view = f"_np.sum({term})", False
+                        term = f"({term}).sum()"
                     elif op.rows_of_input0 and k and len(nodes[node.inputs[0]].shape) == 2:
-                        term = f"_np.sum({term}, axis=0)"
+                        term = f"({term}).sum(axis=0)"
                     elif op.sums and nodes[i].shape != () and not full_shaped(i):
                         term = f"_np.broadcast_to({term}, {shape_of(i)})"
                     if i in assigned:
                         grad_lines.append(f"g{i} = g{i} + ({term})")
-                        views.discard(i)
                     else:
                         grad_lines.append(f"g{i} = {term}")
-                        if view:
-                            views.add(i)
                     assigned.add(i)
+            # np.array copies, so a returned gradient never shares memory with
+            # another's, a forward value or a read-only broadcast view.
             for k, name in enumerate(names):
                 idx = self._variables[name]
                 ns[f"_w{k}"] = name
-                copy = "array" if idx in views else "asarray"
-                value = (f"_np.{copy}(g{idx}, dtype=_np.float64)" if has_adjoint[idx]
+                value = (f"_np.array(g{idx}, dtype=_np.float64)" if has_adjoint[idx]
                          else f"_np.zeros({nodes[idx].shape!r}, dtype=_np.float64)")
                 results.append(f"_w{k}: {value}")
         else:

@@ -19,6 +19,7 @@ it drew from.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -76,7 +77,7 @@ def build_gaussian_mixture(prior_variance: float = 10.0) -> Model:
     return Model(b, log_lik=log_lik, log_prior=log_prior)
 
 
-def build_logistic_regression(d: int) -> Model:
+def build_logistic_regression(d: int = 5) -> Model:
     """Binary logistic regression with bias and a (d, 1) coefficient column.
 
     The prior is independent unit Laplace on every coefficient, kept as
@@ -197,7 +198,7 @@ def _gen_mixture(n, rng: Rng, n_test: int) -> GeneratedData:
     )
 
 
-def _gen_logistic(n, rng: Rng, n_test: int, d: int = 5,
+def _gen_logistic(n, rng: Rng, n_test: int, d: int,
                   true_bias: float | None = None, true_beta=None) -> GeneratedData:
     bias, beta = logistic_true_coefficients(d)
     if true_bias is not None:
@@ -215,11 +216,11 @@ def _gen_logistic(n, rng: Rng, n_test: int, d: int = 5,
     )
 
 
-def _gen_bayes_nn(n, rng: Rng, n_test: int, d: int = 20, hidden: int = 10, classes: int = 3) -> GeneratedData:
+def _gen_bayes_nn(n, rng: Rng, n_test: int, input_dim: int, hidden: int, classes: int) -> GeneratedData:
     total = n + n_test
-    x = rng.standard_normal((total, d))
+    x = rng.standard_normal((total, input_dim))
     true = {
-        "B": rng.standard_normal((d, hidden)) / math.sqrt(d),
+        "B": rng.standard_normal((input_dim, hidden)) / math.sqrt(input_dim),
         "b": rng.standard_normal((hidden,)) * 0.5,
         "A": rng.standard_normal((hidden, classes)) * 2.0,
         "a": rng.standard_normal((classes,)) * 0.5,
@@ -265,14 +266,22 @@ def _init_bayes_nn(model, rng: Rng) -> dict:
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """Registry record tying a family name to its builder, init, and generator."""
+    """Registry record tying a family name to its builder, init, and generator.
+
+    The builder's keyword parameters are the family's hyper-parameters, and
+    its signature holds their defaults; the generator takes the same names.
+    """
 
     name: str
     build: Callable[..., Model]
     init_params: Callable[[Model, Rng], dict]
     generate: Callable[..., GeneratedData]
     label_kind: str | None  # None, "binary" or "multiclass"
-    hyper_defaults: dict
+
+    @property
+    def hyper_defaults(self) -> dict:
+        """A fresh dict of each hyper-parameter's default, read from the builder."""
+        return {name: p.default for name, p in inspect.signature(self.build).parameters.items()}
 
 
 FAMILIES: dict[str, ModelFamily] = {
@@ -282,7 +291,6 @@ FAMILIES: dict[str, ModelFamily] = {
         init_params=_init_gaussian,
         generate=_gen_gaussian,
         label_kind=None,
-        hyper_defaults={"prior_variance": 10.0},
     ),
     "gaussian_mixture": ModelFamily(
         name="gaussian_mixture",
@@ -290,7 +298,6 @@ FAMILIES: dict[str, ModelFamily] = {
         init_params=_init_standard_normal,
         generate=_gen_mixture,
         label_kind=None,
-        hyper_defaults={"prior_variance": 10.0},
     ),
     "logistic_regression": ModelFamily(
         name="logistic_regression",
@@ -298,7 +305,6 @@ FAMILIES: dict[str, ModelFamily] = {
         init_params=_init_standard_normal,
         generate=_gen_logistic,
         label_kind="binary",
-        hyper_defaults={"d": 5},
     ),
     "bayes_nn": ModelFamily(
         name="bayes_nn",
@@ -306,18 +312,16 @@ FAMILIES: dict[str, ModelFamily] = {
         init_params=_init_bayes_nn,
         generate=_gen_bayes_nn,
         label_kind="multiclass",
-        hyper_defaults={"input_dim": 20, "hidden": 10, "classes": 3},
     ),
-}
-
-_GENERATOR_HYPER = {
-    # generator kwarg names differ from builder kwargs for the nn family
-    "bayes_nn": {"input_dim": "d", "hidden": "hidden", "classes": "classes"},
 }
 
 
 def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -> GeneratedData:
-    """Generate a reproducible synthetic train/test split for a family."""
+    """Generate a reproducible synthetic train/test split for a family.
+
+    ``hyper`` takes the builder's hyper-parameter names; one left out takes
+    the builder's default.  ``n_test`` defaults to max(2, n // 5).
+    """
     if name not in FAMILIES:
         raise DomainError(f"unknown model family {name!r}")
     if n < 2:
@@ -325,9 +329,6 @@ def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -
     if n_test is None:
         n_test = max(2, n // 5)
     family = FAMILIES[name]
-    mapped = {}
-    rename = _GENERATOR_HYPER.get(name, {})
-    for key, value in hyper.items():
-        mapped[rename.get(key, key)] = value
-    mapped.pop("prior_variance", None)  # prior scale shapes the model, not the data
-    return family.generate(n, rng, n_test, **mapped)
+    hyper = {**family.hyper_defaults, **hyper}
+    hyper.pop("prior_variance", None)  # prior scale shapes the model, not the data
+    return family.generate(n, rng, n_test, **hyper)

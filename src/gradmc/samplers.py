@@ -210,9 +210,9 @@ class SamplerConfig:
 class ChainState:
     """Mutable per-chain state: current parameters plus kernel extras.
 
-    Momenta exist for sghmc/sgnht, thermostats for sgnht only.  ``rng`` is the
-    chain's root stream; minibatch indices and injected noise come from the
-    two spawned substreams so noise sequences stay aligned across runs that
+    Momenta exist for sghmc/sgnht, thermostats for sgnht only.  Minibatch
+    indices and injected noise come from two separate streams (spawned from
+    the chain's root stream) so noise sequences stay aligned across runs that
     differ only in minibatch layout.
     """
 
@@ -220,14 +220,9 @@ class ChainState:
     momenta: dict[str, np.ndarray] | None
     thermostats: dict[str, float] | None
     iteration: int
-    rng: Rng
-    rng_batch: Rng = field(repr=False, default=None)
-    rng_noise: Rng = field(repr=False, default=None)
+    rng_batch: Rng = field(repr=False)
+    rng_noise: Rng = field(repr=False)
     grad_evals: int = 0
-
-    def __post_init__(self):
-        if self.rng_batch is None or self.rng_noise is None:
-            self.rng_batch, self.rng_noise = self.rng.spawn(2)
 
 
 @dataclass(frozen=True)
@@ -479,7 +474,6 @@ class SamplerHandle:
             momenta=None,
             thermostats=None,
             iteration=0,
-            rng=self._rng,
             rng_batch=rng_batch,
             rng_noise=rng_noise,
         )

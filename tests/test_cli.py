@@ -4,12 +4,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import gradmc.cli
-from gradmc import gaussian_posterior
+from gradmc import SamplerConfig, gaussian_posterior
 from gradmc.cli import main
 from gradmc.data import load_csv_columns
 
@@ -86,6 +87,16 @@ def test_run_mixture_chain_columns(mixture_data, tmp_path):
     assert manifest["stepsize"] == {"theta1": 5e-3, "theta2": 5e-3}
     assert manifest["burnin"] == 0 and manifest["thin"] == 10
     assert manifest["elapsed_seconds"] > 0
+
+
+def test_run_without_tuning_flags_records_sampler_config_defaults(gaussian_data, tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", gaussian_data, "--algorithm", "sgld",
+                   "--stepsize", "1e-4", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    expected = asdict(SamplerConfig(algorithm="sgld", stepsize=1e-4))
+    expected["stepsize"] = {"theta": 1e-4}
+    assert {name: manifest[name] for name in expected} == expected
 
 
 def test_run_zero_iterations_writes_initial_row_only(mixture_data, tmp_path):

@@ -539,12 +539,9 @@ def test_masked_inputs_leave_other_gradients_bit_identical(name):
 @pytest.mark.parametrize("family", ["gaussian", "gaussian_mixture", "logistic_regression", "bayes_nn"])
 def test_single_parameter_gradient_is_bit_identical_to_its_entry(family):
     spec = FAMILIES[family]
-    hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else dict(spec.hyper_defaults)
-    gen_kwargs = {"d": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else (
-        {"d": hyper["d"]} if family == "logistic_regression" else {}
-    )
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
     model = spec.build(**hyper)
-    data = gen_synth(family, 40, Rng(8), n_test=2, **gen_kwargs).train
+    data = gen_synth(family, 40, Rng(8), n_test=2, **hyper).train
     bindings = {name: data[name] for name in model.data_names}
     bindings.update(spec.init_params(model, Rng(9)))
     bindings["__grad_scale__"] = 40 / 7

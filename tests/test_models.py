@@ -206,10 +206,7 @@ def test_loglik_adds_over_any_partition(family):
     if family == "bayes_nn":
         hyper = {"input_dim": 5, "hidden": 4, "classes": 3}
     model = spec.build(**hyper)
-    gen_kwargs = {"d": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else (
-        {"d": hyper["d"]} if family == "logistic_regression" else {}
-    )
-    data = gen_synth(family, 30, Rng(16), n_test=2, **gen_kwargs).train
+    data = gen_synth(family, 30, Rng(16), n_test=2, **hyper).train
     params = spec.init_params(model, Rng(17))
     bindings = {name: data[name] for name in model.data_names}
     whole = model.log_lik_value(params, bindings)
@@ -244,8 +241,23 @@ def test_generators_record_true_params():
     assert len(data.true_params["beta"]) == 3
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gen_synth_defaults_are_the_builders(family):
+    plain = gen_synth(family, 30, Rng(6))
+    spelled = gen_synth(family, 30, Rng(6), **FAMILIES[family].hyper_defaults)
+    for split in ("train", "test"):
+        a, b = getattr(plain, split), getattr(spelled, split)
+        assert a.entries.keys() == b.entries.keys()
+        for name in a.entries:
+            np.testing.assert_array_equal(a[name], b[name])
+    assert plain.true_params == spelled.true_params
+    if family == "bayes_nn":
+        with pytest.raises(TypeError):
+            gen_synth(family, 30, Rng(6), d=6)  # the builder's name is input_dim
+
+
 def test_nn_generator_labels_in_range():
-    data = gen_synth("bayes_nn", 100, Rng(5), n_test=10, d=6, hidden=4, classes=3)
+    data = gen_synth("bayes_nn", 100, Rng(5), n_test=10, input_dim=6, hidden=4, classes=3)
     labels = data.train["y"]
     assert set(np.unique(labels)).issubset({0.0, 1.0, 2.0})
 

@@ -40,6 +40,12 @@ from gradmc.samplers import ControlVariateState, _check_finite
 from oracles import batch_means_se
 
 
+def _streams(seed):
+    """ChainState's (batch, noise) substreams, spawned from Rng(seed) as SamplerHandle.init does."""
+    rng_batch, rng_noise = Rng(seed).spawn(2)
+    return {"rng_batch": rng_batch, "rng_noise": rng_noise}
+
+
 def full_minibatch(dataset):
     indices = np.arange(dataset.n)
     return Minibatch(indices, {k: v[indices] for k, v in dataset.entries.items()})
@@ -131,7 +137,7 @@ def test_sgld_zero_stepsize_is_identity():
     model, dataset, _ = make_gaussian_setup()
     config = SamplerConfig(algorithm="sgld", stepsize=0.0, minibatch_size=4)
     state = ChainState(params={"theta": np.asarray(0.7)}, momenta=None,
-                       thermostats=None, iteration=0, rng=Rng(5))
+                       thermostats=None, iteration=0, **_streams(5))
     sgld_step(state, model, dataset, config)
     assert state.params["theta"] == 0.7
     assert state.iteration == 1
@@ -144,7 +150,7 @@ def test_sgld_flat_posterior_increments_are_injected_noise():
     eps = 2e-3
     config = SamplerConfig(algorithm="sgld", stepsize=eps, minibatch_size=2)
     state = ChainState(params={"theta": np.asarray(0.0)}, momenta=None,
-                       thermostats=None, iteration=0, rng=Rng(31))
+                       thermostats=None, iteration=0, **_streams(31))
     increments = np.empty(10_000)
     prev = 0.0
     for i in range(increments.size):
@@ -182,7 +188,7 @@ def test_sghmc_full_friction_gives_pure_momentum_noise():
     )
     state = ChainState(params={"theta": np.asarray(0.0)},
                        momenta={"theta": np.asarray(0.0)},
-                       thermostats=None, iteration=0, rng=Rng(13))
+                       thermostats=None, iteration=0, **_streams(13))
     draws = np.empty(10_000)
     for i in range(draws.size):
         sghmc_step(state, model, DUMMY, config)
@@ -195,7 +201,7 @@ def test_sghmc_consumes_trajectory_length_gradients():
     config = SamplerConfig(algorithm="sghmc", stepsize=1e-4, minibatch_size=5, trajectory_length=5)
     state = ChainState(params={"theta": np.asarray(0.0)},
                        momenta={"theta": np.asarray(0.0)},
-                       thermostats=None, iteration=0, rng=Rng(3))
+                       thermostats=None, iteration=0, **_streams(3))
     sghmc_step(state, model, dataset, config)
     assert state.grad_evals == 5
     sghmc_step(state, model, dataset, config)
@@ -226,7 +232,7 @@ def test_sgnht_thermostat_fixed_point():
     config = SamplerConfig(algorithm="sgnht", stepsize=eps, minibatch_size=2, diffusion=0.0)
     state = ChainState(params={"theta": np.asarray(0.0)},
                        momenta={"theta": np.asarray(0.5)},
-                       thermostats={"theta": 0.0}, iteration=0, rng=Rng(1))
+                       thermostats={"theta": 0.0}, iteration=0, **_streams(1))
     sgnht_step(state, model, DUMMY, config)
     # zero friction, zero gradient, zero noise: nu is unchanged, nu^2 == eps
     assert float(state.momenta["theta"]) == 0.5
@@ -241,7 +247,7 @@ def test_sgnht_matrix_thermostat_uses_frobenius_product():
     config = SamplerConfig(algorithm="sgnht", stepsize=eps, minibatch_size=2, diffusion=0.0)
     state = ChainState(params={"w": np.zeros((2, 3))},
                        momenta={"w": np.full((2, 3), v)},
-                       thermostats={"w": 0.0}, iteration=0, rng=Rng(1))
+                       thermostats={"w": 0.0}, iteration=0, **_streams(1))
     sgnht_step(state, model, DUMMY, config)
     assert state.thermostats["w"] == pytest.approx(v * v - eps, rel=1e-12)
 
@@ -301,11 +307,9 @@ _FAMILY_NAMES = {
 @pytest.mark.parametrize("family", sorted(_FAMILY_NAMES))
 def test_cv_gradient_is_one_grad_call_bit_equal_to_two(family, monkeypatch):
     spec = FAMILIES[family]
-    small_nn = {"input_dim": 5, "hidden": 4, "classes": 3}
-    model = spec.build(**(small_nn if family == "bayes_nn" else spec.hyper_defaults))
-    gen_kwargs = {"d": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else (
-        {"d": 5} if family == "logistic_regression" else {})
-    dataset = gen_synth(family, 60, Rng(8), n_test=2, **gen_kwargs).train
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
+    model = spec.build(**hyper)
+    dataset = gen_synth(family, 60, Rng(8), n_test=2, **hyper).train
     start = model.check_params(spec.init_params(model, Rng(9)))
     mode = {name: value + 0.01 for name, value in start.items()}
     cv = ControlVariateState(mode_params=mode, full_grad=full_log_posterior_grad(model, dataset, mode))

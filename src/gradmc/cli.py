@@ -52,17 +52,27 @@ TEST_FUNCTIONS = ("full-chain", "log-loss", "running-mean")
 
 def _hyper_from_args(family_name, args) -> dict:
     hyper = FAMILIES[family_name].hyper_defaults
-    # --d sets the feature dimension under whichever name the family's builder uses.
-    overrides = {
-        "d": args.d,
-        "input_dim": args.d,
-        "hidden": args.hidden,
-        "classes": args.classes,
-        "prior_variance": args.prior_variance,
+    # Each hyper-parameter flag and the builder names it can set: --d sets the
+    # feature dimension under whichever name the family's builder uses.
+    flag_keys = {
+        "--d": ("d", "input_dim"),
+        "--hidden": ("hidden",),
+        "--classes": ("classes",),
+        "--prior-variance": ("prior_variance",),
     }
-    for key, value in overrides.items():
-        if key in hyper and value is not None:
-            hyper[key] = value
+    targets = {
+        flag: next((k for k in keys if k in hyper), None) for flag, keys in flag_keys.items()
+    }
+    for flag, key in targets.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if key is None:
+            accepted = ", ".join(f for f, k in targets.items() if k is not None)
+            raise ConfigError(
+                f"{family_name} takes no {flag}; its hyper-parameter flags are {accepted}"
+            )
+        hyper[key] = value
     return hyper
 
 

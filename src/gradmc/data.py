@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -183,34 +184,91 @@ def save_csv_columns(path, arrays: Mapping[str, np.ndarray]) -> None:
             handle.write(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
 
 
+class _DataLines:
+    """A CSV file's lines without its ``#`` comment lines.
+
+    ``lineno`` is the physical 1-based number of the last line read, comment
+    lines included, so errors point at the line an editor shows.
+    """
+
+    def __init__(self, handle):
+        self._numbered = enumerate(handle, start=1)
+        self.lineno = 0
+
+    def __iter__(self):
+        for self.lineno, line in self._numbered:
+            if not line.startswith("#"):
+                yield line
+
+
+def _float_readable(lines):
+    """Pass lines on to ``np.loadtxt`` until one it would read unlike ``float()``."""
+    for line in lines:
+        # loadtxt strips the information separators around a field as
+        # whitespace, float() rejects them: let the row loop decide.
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("information separator in a data line")
+        yield line
+
+
+def _parse_rows(path, handle, n_columns: int) -> np.ndarray:
+    """The reference parser: ``float()`` on every field of every data row."""
+    lines = _DataLines(handle)
+    reader = csv.reader(lines)
+    next(reader)  # the header, checked by the caller
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != n_columns:
+            raise CsvFormatError(
+                f"{path}:{lines.lineno}: expected {n_columns} fields, got {len(row)}"
+            )
+        try:
+            rows.append([float(field) for field in row])
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{lines.lineno}: {exc}") from None
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), n_columns)
+
+
 def load_csv_columns(path) -> dict[str, np.ndarray]:
     """Read a CSV back into named float64 arrays.
 
-    Malformed rows (wrong field count, unparseable numbers) are hard errors
-    carrying the path and 1-based line number.
+    The first line that does not start with ``#`` is the header; a ``#``
+    starts a comment only as a line's first character.  Blank lines are
+    skipped.  Every other line is a data row of exactly as many fields as
+    the header, each one a number that ``float()`` accepts (surrounding
+    spaces, ``nan`` and ``inf`` included).  Malformed rows (wrong field
+    count, unparseable numbers) are hard errors carrying the path and the
+    physical 1-based line number, comment lines counted.
+
+    numpy's C reader parses the rows; a file it rejects or reads with another
+    column count (quoted cells, ``1_000``, any malformed row) is parsed again
+    by the row loop, which returns the same bits or raises the error.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(row for row in handle if not row.startswith("#"))
+        lines = _DataLines(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(lines))
         except StopIteration:
             raise CsvFormatError(f"{path}:1: empty file") from None
+        header_line = lines.lineno
         header = [h.strip() for h in header]
         if any(not h for h in header):
-            raise CsvFormatError(f"{path}:1: blank column name in header")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            raise CsvFormatError(f"{path}:{header_line}: blank column name in header")
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is an empty table, not a warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    _float_readable(lines), delimiter=",", dtype=np.float64,
+                    ndmin=2, comments=None,
                 )
-            try:
-                rows.append([float(field) for field in row])
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from None
-    table = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != len(header):
+            handle.seek(0)
+            table = _parse_rows(path, handle, len(header))
 
     groups: dict[str, dict[int, int]] = {}
     order: list[str] = []
@@ -223,12 +281,12 @@ def load_csv_columns(path) -> dict[str, np.ndarray]:
                 groups[base] = {}
             if suffix in groups[base] or 0 in groups[base]:
                 raise CsvFormatError(
-                    f"{path}:1: column {name!r} clashes with another {base!r} column"
+                    f"{path}:{header_line}: column {name!r} clashes with another {base!r} column"
                 )
             groups[base][suffix] = col
         else:
             if name in groups:
-                raise CsvFormatError(f"{path}:1: duplicate column {name!r}")
+                raise CsvFormatError(f"{path}:{header_line}: duplicate column {name!r}")
             order.append(name)
             groups[name] = {0: col}
 
@@ -241,7 +299,7 @@ def load_csv_columns(path) -> dict[str, np.ndarray]:
             suffixes = sorted(cols)
             if suffixes != list(range(1, len(suffixes) + 1)):
                 raise CsvFormatError(
-                    f"{path}:1: group {base!r} has gaps in its column suffixes"
+                    f"{path}:{header_line}: group {base!r} has gaps in its column suffixes"
                 )
             result[base] = table[:, [cols[s] for s in suffixes]]
     return result

@@ -56,6 +56,22 @@ def test_gen_unknown_model_exit_code():
     assert run_cli("gen", "bogus", "--n", 10, "--out", "/tmp/never") == 2
 
 
+@pytest.mark.parametrize("model, flags, rejected, accepted", [
+    ("logistic_regression", ["--hidden", 4, "--classes", 7], "--hidden", "--d"),
+    ("gaussian", ["--d", 3], "--d", "--prior-variance"),
+    ("bayes_nn", ["--d", 4, "--prior-variance", 2.0], "--prior-variance",
+     "--d, --hidden, --classes"),
+], ids=["logistic_regression", "gaussian", "bayes_nn"])
+def test_gen_rejects_hyper_flag_the_family_does_not_take(tmp_path, capsys, model, flags,
+                                                         rejected, accepted):
+    out = tmp_path / "data"
+    assert run_cli("gen", model, "--n", 20, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{model} takes no {rejected};" in err
+    assert err.rstrip().endswith(f"flags are {accepted}")
+    assert not out.exists()
+
+
 # -- run ----------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,13 @@
 """Dataset invariants, minibatch sampling, random streams, CSV round trips."""
 
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+import gradmc.data
 from gradmc import (
     CsvFormatError,
     Dataset,
@@ -170,18 +175,76 @@ def test_csv_header_convention(tmp_path):
     assert header == "X.1,X.2,X.3,y"
 
 
-def test_csv_malformed_row_reports_line(tmp_path):
+@pytest.mark.parametrize("text, line", [
+    ("x,y\n1.0,2.0\n3.0\n", 3),
+    # numpy's reader takes a steady 3 fields per row; the header count must still rule.
+    ("x,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n", 2),
+    # Comment lines count: the bad row is the file's fourth line.
+    ("# c\nx,y\n1.0,2.0\n3.0\n", 4),
+], ids=["short-row", "every-row-wider-than-header", "short-row-after-comment"])
+def test_csv_malformed_row_reports_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
-    path.write_text("x,y\n1.0,2.0\n3.0\n")
-    with pytest.raises(CsvFormatError, match=r":3:"):
+    path.write_text(text)
+    with pytest.raises(CsvFormatError, match=rf"bad\.csv:{line}: expected 2 fields"):
         load_csv_columns(path)
 
 
-def test_csv_unparseable_value_reports_line(tmp_path):
+@pytest.mark.parametrize("text, line", [
+    ("x\n1.0\npotato\n", 3),
+    ("x\n" + "1.0\n" * 4999 + "potato\n", 5001),
+    # numpy's reader strips an information separator as whitespace; float() does not.
+    ("x\n1.0\n\x1c2.0\n", 3),
+], ids=["word", "last-of-5000-rows", "information-separator"])
+def test_csv_unparseable_value_reports_line(tmp_path, text, line):
     path = tmp_path / "bad.csv"
-    path.write_text("x\n1.0\npotato\n")
-    with pytest.raises(CsvFormatError, match=r":3:"):
+    path.write_text(text)
+    with pytest.raises(CsvFormatError, match=rf"bad\.csv:{line}: could not convert"):
         load_csv_columns(path)
+
+
+def _float_oracle(text):
+    """The CSV read the simple way: drop `#` lines, split, skip blank rows, float() each field."""
+    rows = list(csv.reader(l for l in io.StringIO(text, newline="") if not l.startswith("#")))
+    header = [h.strip() for h in rows[0]]
+    data = [[float(field) for field in row] for row in rows[1:] if row]
+    table = np.array(data, dtype=np.float64).reshape(len(data), len(header))
+    return {name: table[:, j] for j, name in enumerate(header)}
+
+
+_rng = np.random.default_rng(17)
+_DIGITS = [f"{v:.17g}" for v in _rng.standard_normal(30) * 10.0 ** _rng.integers(-300, 300, 30)]
+_SPECIAL = ["0.0", "-0.0", "5e-324", "-4.9406564584124654e-324", "2.2250738585072009e-308",
+            "nan", "-nan", "inf", "-inf", "NaN", "-Infinity"]
+
+
+@pytest.mark.parametrize("text, row_loop", [
+    ("x\n" + "\n".join(_DIGITS) + "\n", False),
+    ("a,b\n" + "\n".join(f"{v},{w}" for v, w in zip(_DIGITS, _SPECIAL)) + "\n", False),
+    ("a,b\r\n 1.5 ,\t-2\r\n\r\n3e-5 , 4 \r\n\n", False),
+    ("# comment\na,b\n\n1,2\n# another\n3,4", False),
+    ("a\n1\n\n2\n", False),
+    ('a,b\n"1.5",2\n3,"4e2"\n', True),
+    ("a,b\n1_000,2\n3,4\n", True),
+    ("a,b,c\n", True),  # numpy's reader sees no columns at all
+    ("a\n", False),
+], ids=["digits", "specials", "spaces-crlf-blank", "comments", "one-column", "quoted",
+        "underscore", "header-only", "header-only-one-column"])
+def test_csv_load_is_bit_identical_to_float_per_field(tmp_path, monkeypatch, text, row_loop):
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    row_loop_calls = []
+    parse_rows = gradmc.data._parse_rows
+    monkeypatch.setattr(gradmc.data, "_parse_rows",
+                        lambda *args: row_loop_calls.append(args) or parse_rows(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_csv_columns(path)
+    expected = _float_oracle(text)
+    assert list(loaded) == list(expected)
+    for name, column in expected.items():
+        assert loaded[name].shape == column.shape
+        np.testing.assert_array_equal(loaded[name].view(np.int64), column.view(np.int64))
+    assert bool(row_loop_calls) == row_loop
 
 
 def test_csv_gappy_group_rejected(tmp_path):

@@ -189,8 +189,10 @@ def cmd_run(args) -> int:
     family = FAMILIES[meta["model"]]
     model = family.build(**meta["hyper"])
     train = Dataset(load_csv_columns(data_dir / "train.csv"))
+    # Only a classifier's log-loss table reads the test split.
     test_path = data_dir / "test.csv"
-    test = Dataset(load_csv_columns(test_path)) if test_path.exists() else None
+    reads_test = family.label_kind is not None and args.test_function != "running-mean"
+    test = Dataset(load_csv_columns(test_path)) if reads_test and test_path.exists() else None
 
     # Every SamplerConfig field is a run flag of the same name; one left unset
     # takes the dataclass default.

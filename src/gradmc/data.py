@@ -71,7 +71,14 @@ class Rng:
 
 
 class Dataset:
-    """Named tensors split along the first axis; immutable once constructed."""
+    """Named tensors split along the first axis; immutable once constructed.
+
+    Every entry is stored as its own C-contiguous (row-major) float64 copy,
+    whatever the layout it came in, so one observation's values are adjacent
+    in memory and a minibatch gather copies whole rows.  Gathering rows of a
+    column-major matrix instead reads one scattered cache line per column
+    for every row: several times slower for a 20-column matrix.
+    """
 
     def __init__(self, entries: Mapping[str, "np.typing.ArrayLike"]):
         if not entries:
@@ -79,7 +86,7 @@ class Dataset:
         stored = {}
         n = None
         for name, value in entries.items():
-            arr = np.array(value, dtype=np.float64)
+            arr = np.array(value, dtype=np.float64, order="C")
             if arr.ndim == 0:
                 raise ShapeError(f"entry {name!r} must have an observation axis")
             if n is None:
@@ -136,11 +143,11 @@ def resolve_minibatch_size(spec: float, n_total: int) -> int:
 
 
 def sample_minibatch(dataset: Dataset, n: int, rng: Rng) -> Minibatch:
-    """Draw n distinct observation indices uniformly and slice every entry."""
+    """Draw n distinct observation indices uniformly and gather those rows of every entry."""
     if not 1 <= n <= dataset.n:
         raise DomainError(f"minibatch size {n} outside [1, {dataset.n}]")
     indices = rng.indices_without_replacement(dataset.n, n)
-    views = {name: arr[indices] for name, arr in dataset.entries.items()}
+    views = {name: arr.take(indices, axis=0) for name, arr in dataset.entries.items()}
     return Minibatch(indices=indices, views=views)
 
 
@@ -301,5 +308,6 @@ def load_csv_columns(path) -> dict[str, np.ndarray]:
                 raise CsvFormatError(
                     f"{path}:{header_line}: group {base!r} has gaps in its column suffixes"
                 )
-            result[base] = table[:, [cols[s] for s in suffixes]]
+            # take() lays the matrix out row-major, as Dataset stores it.
+            result[base] = table.take([cols[s] for s in suffixes], axis=1)
     return result

@@ -22,7 +22,8 @@ class DomainError(GradmcError):
 
 
 class ConfigError(GradmcError):
-    """A sampler configuration is invalid or mismatched with its algorithm."""
+    """A sampler or model configuration is invalid (for one, a sampler setting
+    mismatched with its algorithm, or a hyper-parameter the model does not take)."""
 
 
 class LifecycleError(GradmcError):

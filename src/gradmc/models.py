@@ -19,6 +19,7 @@ it drew from.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from .data import Dataset, Rng
 from .diagnostics import DiagGaussian
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .graph import GraphBuilder
 from .samplers import Model
 
@@ -47,6 +48,29 @@ __all__ = [
 ]
 
 
+def _check_hyper(owner: str, given, accepted) -> None:
+    unknown = [name for name in given if name not in accepted]
+    if unknown:
+        raise ConfigError(
+            f"{owner} takes no hyper-parameter {', '.join(map(repr, unknown))}; "
+            f"it takes {', '.join(accepted)}"
+        )
+
+
+def _hyper_parameters(build):
+    """Make a builder reject a keyword it does not take with a ConfigError
+    that names the ones it does, instead of Python's bare TypeError."""
+    accepted = tuple(inspect.signature(build).parameters)
+
+    @functools.wraps(build)
+    def checked(*args, **hyper):
+        _check_hyper(build.__name__, hyper, accepted)
+        return build(*args, **hyper)
+
+    return checked
+
+
+@_hyper_parameters
 def build_gaussian(prior_variance: float = 10.0) -> Model:
     """Unknown-mean model: x_i ~ N(theta, 1), theta ~ N(0, prior_variance)."""
     if prior_variance <= 0.0:
@@ -59,6 +83,7 @@ def build_gaussian(prior_variance: float = 10.0) -> Model:
     return Model(b, log_lik=log_lik, log_prior=log_prior)
 
 
+@_hyper_parameters
 def build_gaussian_mixture(prior_variance: float = 10.0) -> Model:
     """Equal-weight two-component location mixture in two dimensions."""
     if prior_variance <= 0.0:
@@ -77,6 +102,7 @@ def build_gaussian_mixture(prior_variance: float = 10.0) -> Model:
     return Model(b, log_lik=log_lik, log_prior=log_prior)
 
 
+@_hyper_parameters
 def build_logistic_regression(d: int = 5) -> Model:
     """Binary logistic regression with bias and a (d, 1) coefficient column.
 
@@ -102,6 +128,7 @@ def _check_nn_precisions(params) -> None:
             raise DomainError(f"precision {name!r} must be positive")
 
 
+@_hyper_parameters
 def build_bayes_nn(input_dim: int = 20, hidden: int = 10, classes: int = 3) -> Model:
     """Two-layer softmax classifier with hierarchical normal priors.
 
@@ -319,8 +346,10 @@ FAMILIES: dict[str, ModelFamily] = {
 def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -> GeneratedData:
     """Generate a reproducible synthetic train/test split for a family.
 
-    ``hyper`` takes the builder's hyper-parameter names; one left out takes
-    the builder's default.  ``n_test`` defaults to max(2, n // 5).
+    ``hyper`` takes the builder's hyper-parameter names, plus any setting of
+    the family's generator (the true coefficients of ``logistic_regression``);
+    one left out takes its default, and an unknown name raises ConfigError.
+    ``n_test`` defaults to max(2, n // 5).
     """
     if name not in FAMILIES:
         raise DomainError(f"unknown model family {name!r}")
@@ -329,6 +358,8 @@ def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -
     if n_test is None:
         n_test = max(2, n // 5)
     family = FAMILIES[name]
+    settings = list(inspect.signature(family.generate).parameters)[3:]  # after n, rng, n_test
+    _check_hyper(name, hyper, list(dict.fromkeys([*family.hyper_defaults, *settings])))
     hyper = {**family.hyper_defaults, **hyper}
     hyper.pop("prior_variance", None)  # prior scale shapes the model, not the data
     return family.generate(n, rng, n_test, **hyper)

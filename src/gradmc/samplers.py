@@ -223,6 +223,10 @@ class ChainState:
     rng_batch: Rng = field(repr=False)
     rng_noise: Rng = field(repr=False)
     grad_evals: int = 0
+    # (stepsize per parameter, minibatch count), which ``SamplerHandle.init``
+    # resolves once per chain; a state built without them resolves them from
+    # the config on every kernel call.
+    _constants: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -318,8 +322,13 @@ def _check_finite(tensors: Mapping[str, np.ndarray], iteration: int, what: str) 
     )
 
 
-def _draw_gradient(state: ChainState, model, dataset, config, cv) -> dict[str, np.ndarray]:
-    n = resolve_minibatch_size(config.minibatch_size, dataset.n)
+def _chain_constants(model, dataset, config) -> tuple[dict[str, float], int]:
+    """The stepsize of each parameter and the minibatch count."""
+    return (config.resolved_stepsizes(model.param_names),
+            resolve_minibatch_size(config.minibatch_size, dataset.n))
+
+
+def _draw_gradient(state: ChainState, model, dataset, n, cv) -> dict[str, np.ndarray]:
     minibatch = sample_minibatch(dataset, n, state.rng_batch)
     if cv is None:
         grad = estimate_gradient(model, state.params, minibatch, dataset.n)
@@ -333,8 +342,8 @@ def _draw_gradient(state: ChainState, model, dataset, config, cv) -> dict[str, n
 def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig,
               cv: ControlVariateState | None = None) -> ChainState:
     """One overdamped Langevin update: half a gradient step plus N(0, eps) noise."""
-    steps = config.resolved_stepsizes(model.param_names)
-    grad = _draw_gradient(state, model, dataset, config, cv)
+    steps, n = state._constants or _chain_constants(model, dataset, config)
+    grad = _draw_gradient(state, model, dataset, n, cv)
     for name in model.param_names:
         eps = steps[name]
         noise = standard_normal(state.rng_noise, state.params[name].shape) * math.sqrt(eps)
@@ -352,7 +361,7 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     momenta, re-estimates the gradient on a fresh minibatch, and relaxes the
     momenta with fixed friction and N(0, 2*friction*eps) noise.
     """
-    steps = config.resolved_stepsizes(model.param_names)
+    steps, n = state._constants or _chain_constants(model, dataset, config)
     alpha = config.friction
     for name in model.param_names:
         state.momenta[name] = standard_normal(
@@ -361,7 +370,7 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     for _ in range(config.trajectory_length):
         for name in model.param_names:
             state.params[name] = state.params[name] + state.momenta[name]
-        grad = _draw_gradient(state, model, dataset, config, cv)
+        grad = _draw_gradient(state, model, dataset, n, cv)
         for name in model.param_names:
             eps = steps[name]
             noise = standard_normal(
@@ -383,11 +392,11 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     between the mean-square momentum (Frobenius inner product over all
     elements) and its stepsize, steering the kinetic temperature to eps.
     """
-    steps = config.resolved_stepsizes(model.param_names)
+    steps, n = state._constants or _chain_constants(model, dataset, config)
     a = config.diffusion
     for name in model.param_names:
         state.params[name] = state.params[name] + state.momenta[name]
-    grad = _draw_gradient(state, model, dataset, config, cv)
+    grad = _draw_gradient(state, model, dataset, n, cv)
     for name in model.param_names:
         eps = steps[name]
         noise = standard_normal(
@@ -462,13 +471,17 @@ class SamplerHandle:
 
     def init(self) -> "SamplerHandle":
         """Initialize the chain state; for CV algorithms this runs the mode
-        search and the full-data gradient pass, and starts the chain there."""
+        search and the full-data gradient pass, and starts the chain there.
+
+        The stepsize of each parameter and the minibatch count are resolved
+        from the config here, once per chain."""
         config = self.config
         # The (batch, noise) pair is spawned once per handle and every init()
         # restarts fresh copies of it, so a re-initialised chain repeats itself.
         if self._substreams is None:
             self._substreams = self._rng.spawn(2)
         rng_batch, rng_noise = (copy.deepcopy(stream) for stream in self._substreams)
+        constants = _chain_constants(self.model, self.dataset, config)
         state = ChainState(
             params={name: arr.copy() for name, arr in self.initial_params.items()},
             momenta=None,
@@ -476,6 +489,7 @@ class SamplerHandle:
             iteration=0,
             rng_batch=rng_batch,
             rng_noise=rng_noise,
+            _constants=constants,
         )
         if self.is_cv:
             opt_iters = config.opt_iters if config.opt_iters is not None else config.n_iters
@@ -497,7 +511,7 @@ class SamplerHandle:
                 name: np.zeros(shape) for name, shape in self.model.param_shapes.items()
             }
         elif family == "sgnht":
-            steps = config.resolved_stepsizes(self.model.param_names)
+            steps = constants[0]
             state.momenta = {}
             for name in self.model.param_names:
                 state.momenta[name] = standard_normal(

@@ -221,6 +221,28 @@ def test_run_log_loss_computed_only_at_written_rows(nn_data, tmp_path, monkeypat
     assert trace[:, 0].astype(int).tolist() == [0, 10, 20, 30, 40]
 
 
+@pytest.mark.parametrize("data, test_function, read", [
+    ("gaussian_data", "full-chain", ["train.csv"]),
+    ("mixture_data", "running-mean", ["train.csv"]),
+    ("nn_data", "running-mean", ["train.csv"]),
+    ("nn_data", "full-chain", ["train.csv", "test.csv"]),
+    ("nn_data", "log-loss", ["train.csv", "test.csv"]),
+])
+def test_run_reads_test_csv_only_for_a_log_loss_table(request, tmp_path, monkeypatch, data, test_function, read):
+    loaded = []
+    original = gradmc.cli.load_csv_columns
+
+    def counting(path):
+        loaded.append(path.name)
+        return original(path)
+
+    monkeypatch.setattr(gradmc.cli, "load_csv_columns", counting)
+    assert run_cli("run", "--data", request.getfixturevalue(data), "--algorithm", "sgld",
+                   "--stepsize", "1e-5", "--minibatch-size", 20, "--n-iters", 10, "--thin", 5,
+                   "--test-function", test_function, "--out", tmp_path / "run") == 0
+    assert loaded == read
+
+
 def test_run_recording_hook_keeps_no_hook_values(nn_data, tmp_path, monkeypatch):
     outputs = []
     original = gradmc.cli.run_chain

@@ -69,6 +69,36 @@ def test_dataset_tensors_are_immutable():
         ds["x"][0, 0] = 99.0
 
 
+@pytest.mark.parametrize("layout", ["F", "rows strided", "columns strided", "rank3 transposed"])
+def test_dataset_stores_entries_row_major(layout):
+    base = np.random.default_rng(4).standard_normal((40, 6))
+    given = {
+        "F": np.asfortranarray(base),
+        "rows strided": base[::2],
+        "columns strided": base[:, ::2],
+        "rank3 transposed": base.reshape(20, 2, 6).transpose(0, 2, 1),
+    }[layout]
+    ds = Dataset({"x": given, "y": given[:, 0]})
+    for name, expected in (("x", given), ("y", given[:, 0])):
+        stored = ds[name]
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert stored.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+
+
+def test_minibatch_views_are_the_indexed_rows():
+    rng = np.random.default_rng(6)
+    ds = Dataset({"X": np.asfortranarray(rng.standard_normal((500, 7))), "y": rng.standard_normal(500),
+                  "T": rng.standard_normal((500, 2, 3))})
+    stream = Rng(9)
+    for _ in range(20):
+        batch = sample_minibatch(ds, 60, stream)
+        for name, arr in ds.entries.items():
+            view = batch.views[name]
+            expected = arr[batch.indices]
+            assert view.shape == expected.shape and view.tobytes() == expected.tobytes()
+
+
 def test_minibatch_does_not_mutate_dataset():
     ds = Dataset({"x": np.arange(10.0)})
     before = ds["x"].copy()
@@ -166,6 +196,15 @@ def test_csv_round_trip(tmp_path):
     assert loaded["y"].shape == (12,)
     np.testing.assert_array_equal(loaded["X"], arrays["X"])
     np.testing.assert_array_equal(loaded["y"], arrays["y"])
+
+
+def test_csv_matrix_entries_are_row_major(tmp_path):
+    path = tmp_path / "m.csv"
+    matrix = np.arange(24.0).reshape(8, 3)
+    save_csv_columns(path, {"X": matrix, "y": np.arange(8.0)})
+    loaded = load_csv_columns(path)
+    assert loaded["X"].flags.c_contiguous
+    np.testing.assert_array_equal(loaded["X"], matrix)
 
 
 def test_csv_header_convention(tmp_path):

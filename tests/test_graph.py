@@ -639,3 +639,66 @@ def test_leaf_names_reach_plans_as_data():
     with pytest.raises(MissingFeed, match="import os"):
         g.grad("out", [name], {})
 
+
+
+# -- softmax row reductions ---------------------------------------------------------------
+
+def _reduction_inputs(k):
+    """(label, array) pairs with last axis k: ranks 1-3 in C, F and strided layouts.
+
+    Magnitudes run over 1e-5 to 1e5 with both signs, and about a quarter of
+    the entries are +0.0, -0.0, +inf, -inf or a NaN of either sign; some rows
+    hold only zeros of one or both signs.  Rank-2 and rank-3 arrays have
+    enough rows for the column path wherever it applies.
+    """
+    rng = np.random.default_rng(k)
+    base = 10.0 ** rng.uniform(-5.0, 5.0, size=(3200, k)) * rng.choice([-1.0, 1.0], size=(3200, k))
+    special = rng.random(base.shape) < 0.25
+    base[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan], size=int(special.sum()))
+    base[1:3200:100] = -0.0
+    base[2:3200:100] = rng.choice([0.0, -0.0], size=(32, k))
+    c = base[:1600]
+    return [
+        ("rank1", base[0]),
+        ("C", c),
+        ("C rank3", c.reshape(40, 40, k)),
+        ("F", np.asfortranarray(c)),
+        ("F rank3", np.asfortranarray(c.reshape(40, 40, k))),
+        ("rows strided", base[::2]),
+        ("columns reversed", c[:, ::-1]),
+        ("transposed rank3", c.reshape(40, 40, k).transpose(1, 0, 2)),
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_row_reductions_are_numpys_bit_for_bit(k):
+    from gradmc.graph import _columns, _row_max, _row_sum
+
+    for label, x in _reduction_inputs(k):
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(_row_max(x), x.max(axis=-1, keepdims=True)), (label, "max")
+            assert _same_bits(_row_sum(x), x.sum(axis=-1, keepdims=True)), (label, "sum")
+        if label.startswith("C"):  # the inputs exercise the column path where it applies
+            assert (_columns(x, 100) is not None) == (2 <= k < 16), label
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_softmax_matches_the_plain_numpy_formula_in_any_layout(layout):
+    # The formula softmax had before the row-reduction helpers, forward and
+    # backward, evaluated on the same array the graph is fed.
+    def reference(x, g):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+        return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+    rng = np.random.default_rng(12)
+    for k in (3, 10, 20):
+        b = GraphBuilder()
+        soft = b.softmax(b.variable("v", (1600, k)))
+        graph = b.build({"soft": soft, "out": b.reduce_sum(soft * b.placeholder("w", (None, k)))})
+        base = rng.standard_normal((2 * 1600, k)) * 4.0
+        x = {"C": base[:1600], "F": np.asfortranarray(base[:1600]), "strided": base[::2]}[layout]
+        w = rng.standard_normal((1600, k))
+        y, gx = reference(x, w)
+        assert _same_bits(graph.eval({"v": x}, ["soft"])["soft"], y), k
+        assert _same_bits(graph.grad("out", ["v"], {"v": x, "w": w})["v"], gx), k

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradmc import (
+    ConfigError,
     Dataset,
     DomainError,
     Minibatch,
@@ -252,8 +253,17 @@ def test_gen_synth_defaults_are_the_builders(family):
             np.testing.assert_array_equal(a[name], b[name])
     assert plain.true_params == spelled.true_params
     if family == "bayes_nn":
-        with pytest.raises(TypeError):
-            gen_synth(family, 30, Rng(6), d=6)  # the builder's name is input_dim
+        # the builder's name is input_dim
+        with pytest.raises(ConfigError, match="bayes_nn takes no hyper-parameter 'd'; it takes input_dim, hidden, classes"):
+            gen_synth(family, 30, Rng(6), d=6)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_builders_name_their_hyper_parameters_on_a_wrong_one(family):
+    build = FAMILIES[family].build
+    accepted = ", ".join(FAMILIES[family].hyper_defaults)
+    with pytest.raises(ConfigError, match=f"{build.__name__} takes no hyper-parameter 'depth'; it takes {accepted}$"):
+        build(depth=2)
 
 
 def test_nn_generator_labels_in_range():

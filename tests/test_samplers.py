@@ -1,5 +1,6 @@
 """Gradient estimators, the six kernels, mode finding, and the chain lifecycle."""
 
+import copy
 import itertools
 import math
 
@@ -36,6 +37,7 @@ from gradmc import (
     sgld_step,
     sgnht_step,
 )
+import gradmc.samplers
 from gradmc.samplers import ControlVariateState, _check_finite
 from oracles import batch_means_se
 
@@ -435,6 +437,31 @@ def test_step_before_init_is_lifecycle_error():
         handle.step()
     with pytest.raises(LifecycleError):
         handle.get_params()
+
+
+@pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
+def test_stepsizes_and_minibatch_count_resolve_once_per_chain(algorithm, monkeypatch):
+    model, dataset, _ = make_gaussian_setup(n=40, seed=3)
+    config = SamplerConfig(algorithm=algorithm, stepsize={"theta": 1e-3}, minibatch_size=0.25, seed=6)
+    handle = sampler_setup(model, dataset, {"theta": 0.1}, config).init()
+    # A state built by hand, without the handle's resolved constants, walks
+    # the same chain through the same kernel.
+    start = handle.state
+    by_hand = ChainState(
+        params=dict(start.params), momenta=copy.deepcopy(start.momenta),
+        thermostats=copy.deepcopy(start.thermostats), iteration=0,
+        rng_batch=copy.deepcopy(start.rng_batch), rng_noise=copy.deepcopy(start.rng_noise),
+    )
+    kernel = {"sgld": sgld_step, "sghmc": sghmc_step, "sgnht": sgnht_step}[algorithm]
+    for _ in range(5):
+        kernel(by_hand, model, dataset, config)
+    resolved = []
+    monkeypatch.setattr(SamplerConfig, "resolved_stepsizes", lambda self, names: resolved.append(names))
+    monkeypatch.setattr(gradmc.samplers, "resolve_minibatch_size", lambda *args: resolved.append(args))
+    for _ in range(5):
+        handle.step()
+    assert resolved == []
+    assert handle.state.params["theta"].tobytes() == by_hand.params["theta"].tobytes()
 
 
 def test_cv_handle_starts_from_mode():

@@ -219,15 +219,12 @@ def cmd_run(args) -> int:
         for j in range(int(np.prod(model.param_shapes[name])))
     ]
 
-    def flat(params):
-        return np.concatenate([np.ravel(params[name]) for name in model.param_names])
-
     chain = _Table("chain", "# parameter columns are row-major flattened: <name>.<flat-index>",
-                   columns, lambda t: t == 0 or (t > burnin and t % thin == 0), flat)
+                   columns, lambda t: t == 0 or (t > burnin and t % thin == 0), model.flatten)
     loss = _Table("logloss", None, ["log_loss"], lambda t: t % thin == 0,
                   lambda params: [log_loss(params)])
     mean = _Table("running_mean", "# running posterior means; columns <name>.<flat-index>",
-                  columns, lambda t: t > 0 and (t % thin == 0 or t == config.n_iters), flat)
+                  columns, lambda t: t > 0 and (t % thin == 0 or t == config.n_iters), model.flatten)
     tables = {
         "full-chain": [chain] if log_loss is None else [chain, loss],
         "log-loss": [loss],

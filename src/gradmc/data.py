@@ -187,8 +187,10 @@ def save_csv_columns(path, arrays: Mapping[str, np.ndarray]) -> None:
             raise ShapeError(f"entry {name!r} row count differs")
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for i in range(n_rows or 0):
-            handle.write(",".join(f"{col[i]:.17g}" for col in columns) + "\n")
+        if columns:
+            # One %-format per row gives the text of a per-field f"{v:.17g}".
+            row = ",".join(["%.17g"] * len(columns)) + "\n"
+            handle.writelines(row % tuple(values) for values in np.column_stack(columns).tolist())
 
 
 class _DataLines:

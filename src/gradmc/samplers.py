@@ -10,17 +10,22 @@ thermostat in place of fixed friction).  Each has a control-variate twin
 around a posterior-mode estimate found by stochastic gradient ascent, which
 removes most of the minibatch noise near the mode.
 
+A chain keeps its parameters (and momenta) in one contiguous float64 vector,
+laid out by ``Model.flatten`` in sorted name order, so each update is a few
+whole-vector operations with one noise draw over the whole vector.  That draw
+is bit-identical to one draw per parameter in sorted name order.
+
 Randomness is consumed in a fixed, documented order - minibatch indices from
-one spawned substream, injected noise from another, parameters visited in
-sorted name order - so chains are bit-reproducible for a given seed and
-comparable across runs that differ only in dataset size.
+one spawned substream, injected noise from another - so chains are
+bit-reproducible for a given seed and comparable across runs that differ only
+in dataset size.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -106,6 +111,13 @@ class Model:
             if not name.startswith(_MODE)
         }
         self.param_names = tuple(sorted(self.param_shapes))
+        # Where each parameter lies in the flat vector: its slice and shape.
+        self._layout = {}
+        start = 0
+        for name in self.param_names:
+            stop = start + math.prod(self.param_shapes[name])
+            self._layout[name] = (slice(start, stop), self.param_shapes[name])
+            start = stop
         self._mode_names = {name: _MODE + name for name in self.param_names}
         self._pair_wrt = self.param_names + tuple(self._mode_names.values())
         self.data_names = tuple(
@@ -128,6 +140,17 @@ class Model:
         if self._validate_params is not None:
             self._validate_params(out)
         return out
+
+    def flatten(self, tensors: Mapping[str, np.ndarray]) -> np.ndarray:
+        """A new float64 vector of the named tensors, each row-major, in ``param_names`` order."""
+        # A model without parameters flattens to an empty vector.
+        parts = [tensors[name] for name in self.param_names] or [()]
+        return np.concatenate(parts, axis=None, dtype=np.float64)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view into a flat vector, or into every row of a stack of them."""
+        lead = flat.shape[:-1]
+        return {name: flat[..., part].reshape(lead + shape) for name, (part, shape) in self._layout.items()}
 
     def log_posterior_value(self, params, data_bindings, scale=1.0) -> float:
         bindings = dict(data_bindings)
@@ -206,27 +229,49 @@ class SamplerConfig:
                 raise ConfigError("opt_iters must be at least 1")
 
 
-@dataclass
 class ChainState:
-    """Mutable per-chain state: current parameters plus kernel extras.
+    """Mutable per-chain state: the flat parameter vector plus kernel extras.
 
-    Momenta exist for sghmc/sgnht, thermostats for sgnht only.  Minibatch
-    indices and injected noise come from two separate streams (spawned from
-    the chain's root stream) so noise sequences stay aligned across runs that
-    differ only in minibatch layout.
+    ``theta`` holds every parameter, and ``momentum`` (sghmc/sgnht) every
+    momentum, in one float64 vector laid out by ``Model.flatten``; ``params``
+    and ``momenta`` are their named views, so the kernels' in-place updates
+    show through them.  ``thermostats`` (sgnht) holds one value per
+    parameter.  Left out, momenta start at zero and a thermostat at the
+    config's ``diffusion``.
+
+    The constructor resolves the config once per chain: ``stepsizes`` maps
+    each parameter to its stepsize, ``eps`` repeats it per element in the
+    flat layout, ``noise_scale`` is the per-element standard deviation of an
+    update's injected noise (sqrt of eps for sgld, of 2*friction*eps for
+    sghmc, of 2*diffusion*eps for sgnht), and ``minibatch_count`` is the
+    minibatch size in rows.  It does not validate them; ``SamplerHandle``
+    does.  Minibatch indices and injected noise come from two separate
+    streams (spawned from the chain's root stream) so noise sequences stay
+    aligned across runs that differ only in minibatch layout.
     """
 
-    params: dict[str, np.ndarray]
-    momenta: dict[str, np.ndarray] | None
-    thermostats: dict[str, float] | None
-    iteration: int
-    rng_batch: Rng = field(repr=False)
-    rng_noise: Rng = field(repr=False)
-    grad_evals: int = 0
-    # (stepsize per parameter, minibatch count), which ``SamplerHandle.init``
-    # resolves once per chain; a state built without them resolves them from
-    # the config on every kernel call.
-    _constants: tuple | None = field(default=None, repr=False)
+    def __init__(self, model: Model, dataset: Dataset, config: SamplerConfig, params,
+                 rng_batch: Rng, rng_noise: Rng, momenta=None, thermostats=None):
+        family = config.algorithm.removesuffix("cv")
+        self.theta = model.flatten(params)
+        self.params = model.views(self.theta)
+        self.momentum = self.momenta = self.thermostats = None
+        if family in ("sghmc", "sgnht"):
+            self.momentum = np.zeros_like(self.theta) if momenta is None else model.flatten(momenta)
+            self.momenta = model.views(self.momentum)
+        if family == "sgnht":
+            self.thermostats = dict.fromkeys(model.param_names, config.diffusion)
+            self.thermostats.update(thermostats or {})
+        self.iteration = 0
+        self.rng_batch = rng_batch
+        self.rng_noise = rng_noise
+        self.grad_evals = 0
+        self.stepsizes = config.resolved_stepsizes(model.param_names)
+        self.eps = model.flatten({name: np.full(shape, self.stepsizes[name])
+                                  for name, shape in model.param_shapes.items()})
+        rate = {"sghmc": 2.0 * config.friction, "sgnht": 2.0 * config.diffusion}.get(family)
+        self.noise_scale = np.sqrt(self.eps if rate is None else rate * self.eps)
+        self.minibatch_count = resolve_minibatch_size(config.minibatch_size, dataset.n)
 
 
 @dataclass(frozen=True)
@@ -304,17 +349,14 @@ def full_log_posterior_grad(
     return total
 
 
-def _check_finite(tensors: Mapping[str, np.ndarray], iteration: int, what: str) -> None:
-    """Raise NumericalDivergence naming the first non-finite tensor in sorted name order.
+def _check_finite(model: Model, flat: np.ndarray, iteration: int, what: str) -> None:
+    """Raise NumericalDivergence naming the first non-finite parameter in sorted name order.
 
-    The common all-finite case costs one reduction per tensor and no sort.
+    The common all-finite case costs one reduction over the whole vector.
     """
-    for tensor in tensors.values():
-        if not np.isfinite(tensor).all():
-            break
-    else:
+    if np.isfinite(flat).all():
         return
-    name = next(name for name in sorted(tensors) if not np.isfinite(tensors[name]).all())
+    name = next(name for name, part in model.views(flat).items() if not np.isfinite(part).all())
     raise NumericalDivergence(
         f"non-finite {what} for parameter {name!r} at iteration {iteration}",
         iteration=iteration,
@@ -322,33 +364,30 @@ def _check_finite(tensors: Mapping[str, np.ndarray], iteration: int, what: str) 
     )
 
 
-def _chain_constants(model, dataset, config) -> tuple[dict[str, float], int]:
-    """The stepsize of each parameter and the minibatch count."""
-    return (config.resolved_stepsizes(model.param_names),
-            resolve_minibatch_size(config.minibatch_size, dataset.n))
-
-
-def _draw_gradient(state: ChainState, model, dataset, n, cv) -> dict[str, np.ndarray]:
-    minibatch = sample_minibatch(dataset, n, state.rng_batch)
+def _draw_gradient(state: ChainState, model, dataset, cv) -> np.ndarray:
+    minibatch = sample_minibatch(dataset, state.minibatch_count, state.rng_batch)
     if cv is None:
         grad = estimate_gradient(model, state.params, minibatch, dataset.n)
     else:
         grad = cv_gradient(model, state.params, cv, minibatch, dataset.n)
     state.grad_evals += 1
-    _check_finite(grad, state.iteration, "gradient")
+    grad = model.flatten(grad)
+    _check_finite(model, grad, state.iteration, "gradient")
     return grad
 
+
+# The kernels write each update into ``state.theta`` and ``state.momentum``
+# in place, so the named views follow.  Each formula runs in the order of the
+# scalar one, so every element gets the bits the scalar formula gives it.
 
 def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig,
               cv: ControlVariateState | None = None) -> ChainState:
     """One overdamped Langevin update: half a gradient step plus N(0, eps) noise."""
-    steps, n = state._constants or _chain_constants(model, dataset, config)
-    grad = _draw_gradient(state, model, dataset, n, cv)
-    for name in model.param_names:
-        eps = steps[name]
-        noise = standard_normal(state.rng_noise, state.params[name].shape) * math.sqrt(eps)
-        state.params[name] = state.params[name] + 0.5 * eps * grad[name] + noise
-    _check_finite(state.params, state.iteration, "parameter")
+    eps = state.eps
+    grad = _draw_gradient(state, model, dataset, cv)
+    noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
+    state.theta[...] = state.theta + 0.5 * eps * grad + noise
+    _check_finite(model, state.theta, state.iteration, "parameter")
     state.iteration += 1
     return state
 
@@ -361,25 +400,15 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     momenta, re-estimates the gradient on a fresh minibatch, and relaxes the
     momenta with fixed friction and N(0, 2*friction*eps) noise.
     """
-    steps, n = state._constants or _chain_constants(model, dataset, config)
+    eps = state.eps
     alpha = config.friction
-    for name in model.param_names:
-        state.momenta[name] = standard_normal(
-            state.rng_noise, state.params[name].shape
-        ) * math.sqrt(steps[name])
+    state.momentum[...] = standard_normal(state.rng_noise, eps.shape) * np.sqrt(eps)
     for _ in range(config.trajectory_length):
-        for name in model.param_names:
-            state.params[name] = state.params[name] + state.momenta[name]
-        grad = _draw_gradient(state, model, dataset, n, cv)
-        for name in model.param_names:
-            eps = steps[name]
-            noise = standard_normal(
-                state.rng_noise, state.params[name].shape
-            ) * math.sqrt(2.0 * alpha * eps)
-            state.momenta[name] = (
-                (1.0 - alpha) * state.momenta[name] + eps * grad[name] + noise
-            )
-    _check_finite(state.params, state.iteration, "parameter")
+        state.theta += state.momentum
+        grad = _draw_gradient(state, model, dataset, cv)
+        noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
+        state.momentum[...] = (1.0 - alpha) * state.momentum + eps * grad + noise
+    _check_finite(model, state.theta, state.iteration, "parameter")
     state.iteration += 1
     return state
 
@@ -389,26 +418,21 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     """One thermostat update.
 
     After the momentum refresh, each parameter's thermostat moves by the gap
-    between the mean-square momentum (Frobenius inner product over all
+    between the mean-square momentum (Frobenius inner product over its
     elements) and its stepsize, steering the kinetic temperature to eps.
     """
-    steps, n = state._constants or _chain_constants(model, dataset, config)
-    a = config.diffusion
-    for name in model.param_names:
-        state.params[name] = state.params[name] + state.momenta[name]
-    grad = _draw_gradient(state, model, dataset, n, cv)
-    for name in model.param_names:
-        eps = steps[name]
-        noise = standard_normal(
-            state.rng_noise, state.params[name].shape
-        ) * math.sqrt(2.0 * a * eps)
-        nu = (1.0 - state.thermostats[name]) * state.momenta[name] + eps * grad[name] + noise
-        state.momenta[name] = nu
-        p = max(1, nu.size)
-        state.thermostats[name] = state.thermostats[name] + (
-            float(np.vdot(nu, nu)) / p - eps
-        )
-    _check_finite(state.params, state.iteration, "parameter")
+    eps = state.eps
+    state.theta += state.momentum
+    grad = _draw_gradient(state, model, dataset, cv)
+    noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
+    # Each parameter's thermostat spread over its segment of the momentum.
+    decay = np.empty_like(eps)
+    for name, part in model.views(decay).items():
+        part[...] = 1.0 - state.thermostats[name]
+    state.momentum[...] = decay * state.momentum + eps * grad + noise
+    for name, nu in state.momenta.items():
+        state.thermostats[name] += float(np.vdot(nu, nu)) / max(1, nu.size) - state.stepsizes[name]
+    _check_finite(model, state.theta, state.iteration, "parameter")
     state.iteration += 1
     return state
 
@@ -431,15 +455,15 @@ def find_mode(
     Plain fixed-stepsize ascent from the given starting point; returns the
     final iterate as the posterior-mode estimate.
     """
-    params = {name: as_tensor(initial_params[name]).copy() for name in model.param_names}
+    theta = model.flatten(model.check_params(initial_params))
+    params = model.views(theta)
     n = resolve_minibatch_size(minibatch_size, dataset.n)
     for t in range(opt_iters):
         minibatch = sample_minibatch(dataset, n, rng)
-        grad = estimate_gradient(model, params, minibatch, dataset.n)
-        _check_finite(grad, t, "optimizer gradient")
-        for name in model.param_names:
-            params[name] = params[name] + opt_stepsize * grad[name]
-        _check_finite(params, t, "optimizer parameter")
+        grad = model.flatten(estimate_gradient(model, params, minibatch, dataset.n))
+        _check_finite(model, grad, t, "optimizer gradient")
+        theta += opt_stepsize * grad
+        _check_finite(model, theta, t, "optimizer parameter")
     return params
 
 
@@ -473,51 +497,25 @@ class SamplerHandle:
         """Initialize the chain state; for CV algorithms this runs the mode
         search and the full-data gradient pass, and starts the chain there.
 
-        The stepsize of each parameter and the minibatch count are resolved
-        from the config here, once per chain."""
+        Building the ``ChainState`` resolves the stepsizes and the minibatch
+        count from the config, once per chain."""
         config = self.config
         # The (batch, noise) pair is spawned once per handle and every init()
         # restarts fresh copies of it, so a re-initialised chain repeats itself.
         if self._substreams is None:
             self._substreams = self._rng.spawn(2)
         rng_batch, rng_noise = (copy.deepcopy(stream) for stream in self._substreams)
-        constants = _chain_constants(self.model, self.dataset, config)
-        state = ChainState(
-            params={name: arr.copy() for name, arr in self.initial_params.items()},
-            momenta=None,
-            thermostats=None,
-            iteration=0,
-            rng_batch=rng_batch,
-            rng_noise=rng_noise,
-            _constants=constants,
-        )
+        start = self.initial_params
         if self.is_cv:
             opt_iters = config.opt_iters if config.opt_iters is not None else config.n_iters
-            mode = find_mode(
-                self.model,
-                self.dataset,
-                self.initial_params,
-                config.opt_stepsize,
-                opt_iters,
-                config.minibatch_size,
-                state.rng_batch,
-            )
+            mode = find_mode(self.model, self.dataset, start, config.opt_stepsize, opt_iters,
+                             config.minibatch_size, rng_batch)
             full = full_log_posterior_grad(self.model, self.dataset, mode)
             self.cv = ControlVariateState(mode_params=mode, full_grad=full)
-            state.params = {name: arr.copy() for name, arr in mode.items()}
-        family = config.algorithm.removesuffix("cv")
-        if family == "sghmc":
-            state.momenta = {
-                name: np.zeros(shape) for name, shape in self.model.param_shapes.items()
-            }
-        elif family == "sgnht":
-            steps = constants[0]
-            state.momenta = {}
-            for name in self.model.param_names:
-                state.momenta[name] = standard_normal(
-                    state.rng_noise, self.model.param_shapes[name]
-                ) * math.sqrt(steps[name])
-            state.thermostats = {name: config.diffusion for name in self.model.param_names}
+            start = mode
+        state = ChainState(self.model, self.dataset, config, start, rng_batch, rng_noise)
+        if config.algorithm.removesuffix("cv") == "sgnht":
+            state.momentum[...] = standard_normal(rng_noise, state.eps.shape) * np.sqrt(state.eps)
         self.state = state
         return self
 
@@ -533,7 +531,7 @@ class SamplerHandle:
         """Copy of the current parameters, detached from the chain."""
         if self.state is None:
             raise LifecycleError("sampler read before init()")
-        return {name: arr.copy() for name, arr in self.state.params.items()}
+        return self.model.views(self.state.theta.copy())
 
 
 def sampler_setup(model, dataset, initial_params, config, rng=None) -> SamplerHandle:
@@ -568,27 +566,19 @@ def run_chain(model, dataset, initial_params, config, hook=None, rng=None) -> Ch
     """
     handle = sampler_setup(model, dataset, initial_params, config, rng=rng).init()
     start = handle.get_params()
-    samples = None
-    hook_values = None
-    if hook is None:
-        samples = {
-            name: np.empty((config.n_iters,) + shape)
-            for name, shape in model.param_shapes.items()
-        }
-    else:
-        hook_values = []
+    rows = np.empty((config.n_iters, handle.state.theta.size)) if hook is None else None
+    hook_values = None if hook is None else []
     for t in range(config.n_iters):
         handle.step()
         if hook is None:
-            for name in model.param_names:
-                samples[name][t] = handle.state.params[name]
+            rows[t] = handle.state.theta
         else:
             value = hook(handle.get_params())
             if value is not None:
                 hook_values.append(value)
     return ChainOutput(
         start_params=start,
-        samples=samples,
+        samples=None if rows is None else model.views(rows),
         hook_values=hook_values,
         final_state=handle.state,
     )

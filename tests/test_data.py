@@ -198,6 +198,24 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded["y"], arrays["y"])
 
 
+def test_csv_write_is_the_per_field_format_text(tmp_path):
+    # The written text equals each field formatted on its own with
+    # f"{v:.17g}", specials included.
+    specials = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0,
+                5e-324, -2.5e-310, 1.0 / 3.0, -1e300]
+    rng = np.random.default_rng(3)
+    y = np.array(specials + list(rng.standard_normal(6)))
+    X = np.column_stack([y[::-1], rng.standard_normal(y.size) * 1e-5])
+    path = tmp_path / "data.csv"
+    save_csv_columns(path, {"X": X, "y": y})
+    columns = [X[:, 0], X[:, 1], y]
+    expected = "X.1,X.2,y\n" + "".join(
+        ",".join(f"{col[i]:.17g}" for col in columns) + "\n" for i in range(y.size)
+    )
+    assert path.read_text() == expected
+    assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= set(expected.replace("\n", ",").split(","))
+
+
 def test_csv_matrix_entries_are_row_major(tmp_path):
     path = tmp_path / "m.csv"
     matrix = np.arange(24.0).reshape(8, 3)

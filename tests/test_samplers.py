@@ -30,12 +30,14 @@ from gradmc import (
     find_mode,
     full_log_posterior_grad,
     gen_synth,
+    resolve_minibatch_size,
     run_chain,
     sample_minibatch,
     sampler_setup,
     sghmc_step,
     sgld_step,
     sgnht_step,
+    standard_normal,
 )
 import gradmc.samplers
 from gradmc.samplers import ControlVariateState, _check_finite
@@ -138,8 +140,7 @@ def test_sgld_zero_stepsize_is_identity():
     # bypasses it and must leave the parameters bit-unchanged.
     model, dataset, _ = make_gaussian_setup()
     config = SamplerConfig(algorithm="sgld", stepsize=0.0, minibatch_size=4)
-    state = ChainState(params={"theta": np.asarray(0.7)}, momenta=None,
-                       thermostats=None, iteration=0, **_streams(5))
+    state = ChainState(model, dataset, config, {"theta": np.asarray(0.7)}, **_streams(5))
     sgld_step(state, model, dataset, config)
     assert state.params["theta"] == 0.7
     assert state.iteration == 1
@@ -151,8 +152,7 @@ def test_sgld_flat_posterior_increments_are_injected_noise():
     model = flat_model()
     eps = 2e-3
     config = SamplerConfig(algorithm="sgld", stepsize=eps, minibatch_size=2)
-    state = ChainState(params={"theta": np.asarray(0.0)}, momenta=None,
-                       thermostats=None, iteration=0, **_streams(31))
+    state = ChainState(model, DUMMY, config, {"theta": np.asarray(0.0)}, **_streams(31))
     increments = np.empty(10_000)
     prev = 0.0
     for i in range(increments.size):
@@ -188,9 +188,8 @@ def test_sghmc_full_friction_gives_pure_momentum_noise():
     config = SamplerConfig(
         algorithm="sghmc", stepsize=eps, minibatch_size=2, friction=1.0, trajectory_length=1
     )
-    state = ChainState(params={"theta": np.asarray(0.0)},
-                       momenta={"theta": np.asarray(0.0)},
-                       thermostats=None, iteration=0, **_streams(13))
+    state = ChainState(model, DUMMY, config, {"theta": np.asarray(0.0)},
+                       momenta={"theta": np.asarray(0.0)}, **_streams(13))
     draws = np.empty(10_000)
     for i in range(draws.size):
         sghmc_step(state, model, DUMMY, config)
@@ -201,9 +200,8 @@ def test_sghmc_full_friction_gives_pure_momentum_noise():
 def test_sghmc_consumes_trajectory_length_gradients():
     model, dataset, _ = make_gaussian_setup(n=20)
     config = SamplerConfig(algorithm="sghmc", stepsize=1e-4, minibatch_size=5, trajectory_length=5)
-    state = ChainState(params={"theta": np.asarray(0.0)},
-                       momenta={"theta": np.asarray(0.0)},
-                       thermostats=None, iteration=0, **_streams(3))
+    state = ChainState(model, dataset, config, {"theta": np.asarray(0.0)},
+                       momenta={"theta": np.asarray(0.0)}, **_streams(3))
     sghmc_step(state, model, dataset, config)
     assert state.grad_evals == 5
     sghmc_step(state, model, dataset, config)
@@ -232,9 +230,8 @@ def test_sgnht_thermostat_fixed_point():
     model = flat_model()
     eps = 0.25
     config = SamplerConfig(algorithm="sgnht", stepsize=eps, minibatch_size=2, diffusion=0.0)
-    state = ChainState(params={"theta": np.asarray(0.0)},
-                       momenta={"theta": np.asarray(0.5)},
-                       thermostats={"theta": 0.0}, iteration=0, **_streams(1))
+    state = ChainState(model, DUMMY, config, {"theta": np.asarray(0.0)},
+                       momenta={"theta": np.asarray(0.5)}, thermostats={"theta": 0.0}, **_streams(1))
     sgnht_step(state, model, DUMMY, config)
     # zero friction, zero gradient, zero noise: nu is unchanged, nu^2 == eps
     assert float(state.momenta["theta"]) == 0.5
@@ -247,11 +244,105 @@ def test_sgnht_matrix_thermostat_uses_frobenius_product():
     eps = 1e-3
     v = 0.05
     config = SamplerConfig(algorithm="sgnht", stepsize=eps, minibatch_size=2, diffusion=0.0)
-    state = ChainState(params={"w": np.zeros((2, 3))},
-                       momenta={"w": np.full((2, 3), v)},
-                       thermostats={"w": 0.0}, iteration=0, **_streams(1))
+    state = ChainState(model, DUMMY, config, {"w": np.zeros((2, 3))},
+                       momenta={"w": np.full((2, 3), v)}, thermostats={"w": 0.0}, **_streams(1))
     sgnht_step(state, model, DUMMY, config)
     assert state.thermostats["w"] == pytest.approx(v * v - eps, rel=1e-12)
+
+
+def test_sgnht_keeps_one_thermostat_per_parameter_segment():
+    # A () and a (2, 3) parameter share the flat momentum vector; each segment
+    # decays by its own thermostat, and each thermostat moves by its own
+    # segment's mean-square momentum minus its own stepsize.  Flat posterior,
+    # zero diffusion: no gradient and no noise.  Every value is dyadic except
+    # eps_w, so the hand computation is exact.
+    b = GraphBuilder()
+    b.placeholder("x", (None,))
+    a = b.variable("a", ())
+    w = b.variable("w", (2, 3))
+    model = Model(b, log_lik=b.constant(0.0) * (a + b.reduce_sum(w)), log_prior=None)
+    steps = {"a": 0.25, "w": 1e-3}
+    config = SamplerConfig(algorithm="sgnht", stepsize=steps, minibatch_size=2, diffusion=0.0)
+    nu = {"a": 0.5, "w": 0.125}
+    xi = {"a": 0.5, "w": 0.0}
+    state = ChainState(model, DUMMY, config, {"a": np.asarray(0.0), "w": np.zeros((2, 3))},
+                       momenta={"a": np.asarray(nu["a"]), "w": np.full((2, 3), nu["w"])},
+                       thermostats=xi, **_streams(1))
+    sgnht_step(state, model, DUMMY, config)
+    for name in ("a", "w"):
+        assert np.all(state.params[name] == nu[name])
+        new = (1.0 - xi[name]) * nu[name]
+        assert np.all(state.momenta[name] == new), name
+        assert state.thermostats[name] == xi[name] + (new * new - steps[name]), name
+    assert state.thermostats == {"a": 0.5 + (0.0625 - 0.25), "w": 0.125 ** 2 - 1e-3}
+
+
+def _per_parameter_chain(model, dataset, init, config, n_steps):
+    """The three kernels as per-parameter loops: one noise draw per parameter,
+    in sorted name order, from the handle's (batch, noise) substreams."""
+    names = model.param_names
+    rng_batch, rng_noise = Rng(config.seed).spawn(2)
+    steps = config.resolved_stepsizes(names)
+    n = resolve_minibatch_size(config.minibatch_size, dataset.n)
+    params = model.check_params(init)
+    momenta = thermostats = None
+
+    def gradient():
+        return estimate_gradient(model, params, sample_minibatch(dataset, n, rng_batch), dataset.n)
+
+    def noise(name, variance):
+        return standard_normal(rng_noise, model.param_shapes[name]) * math.sqrt(variance)
+
+    alpha, a = config.friction, config.diffusion
+    if config.algorithm == "sgnht":
+        momenta = {name: noise(name, steps[name]) for name in names}
+        thermostats = dict.fromkeys(names, a)
+    for _ in range(n_steps):
+        if config.algorithm == "sgld":
+            grad = gradient()
+            for name in names:
+                params[name] = params[name] + 0.5 * steps[name] * grad[name] + noise(name, steps[name])
+        elif config.algorithm == "sghmc":
+            momenta = {name: noise(name, steps[name]) for name in names}
+            for _ in range(config.trajectory_length):
+                for name in names:
+                    params[name] = params[name] + momenta[name]
+                grad = gradient()
+                for name in names:
+                    momenta[name] = ((1.0 - alpha) * momenta[name] + steps[name] * grad[name]
+                                     + noise(name, 2.0 * alpha * steps[name]))
+        else:
+            for name in names:
+                params[name] = params[name] + momenta[name]
+            grad = gradient()
+            for name in names:
+                nu = ((1.0 - thermostats[name]) * momenta[name] + steps[name] * grad[name]
+                      + noise(name, 2.0 * a * steps[name]))
+                momenta[name] = nu
+                thermostats[name] += float(np.vdot(nu, nu)) / max(1, nu.size) - steps[name]
+    return params, momenta, thermostats
+
+
+@pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
+def test_flat_kernels_match_the_per_parameter_loops_bit_for_bit(algorithm):
+    # bayes_nn mixes matrix, vector and scalar parameters; a per-name stepsize
+    # map gives each segment of the flat vector its own stepsize.
+    spec = FAMILIES["bayes_nn"]
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3}
+    model = spec.build(**hyper)
+    dataset = gen_synth("bayes_nn", 200, Rng(8), **hyper).train
+    init = spec.init_params(model, Rng(9))
+    stepsize = {name: 1e-4 * (1 + k) for k, name in enumerate(model.param_names)}
+    config = SamplerConfig(algorithm=algorithm, stepsize=stepsize, minibatch_size=20, seed=12)
+    handle = sampler_setup(model, dataset, init, config).init()
+    for _ in range(15):
+        handle.step()
+    params, momenta, thermostats = _per_parameter_chain(model, dataset, init, config, 15)
+    for name in model.param_names:
+        assert handle.state.params[name].tobytes() == np.asarray(params[name]).tobytes(), name
+        if momenta is not None:
+            assert handle.state.momenta[name].tobytes() == np.asarray(momenta[name]).tobytes(), name
+    assert handle.state.thermostats == thermostats
 
 
 # -- control variates ---------------------------------------------------------------
@@ -444,12 +535,11 @@ def test_stepsizes_and_minibatch_count_resolve_once_per_chain(algorithm, monkeyp
     model, dataset, _ = make_gaussian_setup(n=40, seed=3)
     config = SamplerConfig(algorithm=algorithm, stepsize={"theta": 1e-3}, minibatch_size=0.25, seed=6)
     handle = sampler_setup(model, dataset, {"theta": 0.1}, config).init()
-    # A state built by hand, without the handle's resolved constants, walks
-    # the same chain through the same kernel.
+    # A state built by hand goes through the same constructor as the handle's
+    # and walks the same chain through the same kernel.
     start = handle.state
     by_hand = ChainState(
-        params=dict(start.params), momenta=copy.deepcopy(start.momenta),
-        thermostats=copy.deepcopy(start.thermostats), iteration=0,
+        model, dataset, config, start.params, momenta=start.momenta, thermostats=start.thermostats,
         rng_batch=copy.deepcopy(start.rng_batch), rng_noise=copy.deepcopy(start.rng_noise),
     )
     kernel = {"sgld": sgld_step, "sghmc": sghmc_step, "sgnht": sgnht_step}[algorithm]
@@ -491,6 +581,55 @@ def test_get_params_returns_detached_copy():
     snapshot = handle.get_params()
     snapshot["theta"] += 100.0
     assert float(handle.get_params()["theta"]) == 0.25
+
+
+def _mixture_setup():
+    model = build_gaussian_mixture()
+    dataset = Dataset({"x": Rng(2).standard_normal((100, 2)) * 1.1})
+    return model, dataset, {"theta1": np.zeros(2), "theta2": np.full(2, 0.3)}
+
+
+def test_cv_mode_is_not_a_view_of_the_chain():
+    model, dataset, init = _mixture_setup()
+    config = SamplerConfig(algorithm="sghmccv", stepsize=1e-3, minibatch_size=20, seed=2,
+                           opt_stepsize=1e-3, opt_iters=50)
+    handle = sampler_setup(model, dataset, init, config).init()
+    mode = {name: value.copy() for name, value in handle.cv.mode_params.items()}
+    for _ in range(5):
+        handle.step()
+    for name in model.param_names:
+        assert not np.array_equal(handle.state.params[name], mode[name])
+        assert handle.cv.mode_params[name].tobytes() == mode[name].tobytes()
+
+
+def test_a_hook_that_mutates_its_params_leaves_the_chain_alone():
+    model, dataset, init = _mixture_setup()
+    config = SamplerConfig(algorithm="sghmc", stepsize=1e-3, minibatch_size=20, n_iters=30, seed=4)
+    plain = run_chain(model, dataset, init, config)
+
+    def vandal(params):
+        seen = model.flatten(params)
+        for value in params.values():
+            value[...] = np.nan
+        params.clear()
+        return seen
+
+    hooked = run_chain(model, dataset, init, config, hook=vandal)
+    stored = np.concatenate([plain.samples["theta1"], plain.samples["theta2"]], axis=1)
+    assert np.stack(hooked.hook_values).tobytes() == stored.tobytes()
+    assert hooked.final_state.theta.tobytes() == plain.final_state.theta.tobytes()
+    assert hooked.final_state.momentum.tobytes() == plain.final_state.momentum.tobytes()
+
+
+def test_stored_rows_do_not_change_as_the_chain_runs_on():
+    model, dataset, init = _mixture_setup()
+    base = dict(algorithm="sgld", stepsize=1e-3, minibatch_size=20, seed=4)
+    short = run_chain(model, dataset, init, SamplerConfig(n_iters=30, **base))
+    longer = run_chain(model, dataset, init, SamplerConfig(n_iters=60, **base))
+    for name in model.param_names:
+        assert not np.array_equal(short.samples[name][0], short.samples[name][-1])
+        assert longer.samples[name][:30].tobytes() == short.samples[name].tobytes()
+        assert np.array_equal(longer.start_params[name], init[name])
 
 
 @pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
@@ -571,9 +710,19 @@ def test_kernel_rng_and_gradient_budgets():
             handle.step()
         assert handle.state.grad_evals - evals0 == 3 * per_step
         assert handle.state.rng_batch.draw_count - batch0 == 3 * per_step
-        # one noise draw per parameter per gradient, plus sghmc's resample
-        noise_per_step = {"sgld": 2, "sgnht": 2, "sghmc": 2 + 5 * 2}[algorithm]
+        # one noise draw over the whole parameter vector per gradient, plus
+        # sghmc's momentum resample
+        noise_per_step = {"sgld": 1, "sgnht": 1, "sghmc": 1 + 5}[algorithm]
         assert handle.state.rng_noise.draw_count - noise0 == 3 * noise_per_step
+
+
+@pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
+def test_a_model_without_parameters_runs(algorithm):
+    b = GraphBuilder()
+    model = Model(b, log_lik=b.reduce_sum(b.placeholder("x", (None,))))
+    config = SamplerConfig(algorithm=algorithm, stepsize=1e-3, minibatch_size=2, n_iters=3)
+    out = run_chain(model, DUMMY, {}, config)
+    assert out.samples == {} and out.start_params == {} and out.final_state.iteration == 3
 
 
 def test_run_chain_output_shape_matches_param_shape():
@@ -636,12 +785,20 @@ def test_divergence_carries_iteration_and_param():
 
 
 def test_divergence_names_the_first_non_finite_tensor_in_sorted_order():
+    b = GraphBuilder()
+    zeta, mid, alpha = b.variable("zeta", (1,)), b.variable("mid", (3,)), b.variable("alpha", ())
+    model = Model(b, log_lik=b.constant(0.0) * (b.reduce_sum(zeta) + b.reduce_sum(mid) + alpha))
     tensors = {"zeta": np.asarray([np.nan]), "mid": np.ones(3), "alpha": np.asarray(np.inf)}
     with pytest.raises(NumericalDivergence) as excinfo:
-        _check_finite(tensors, 7, "gradient")
+        _check_finite(model, model.flatten(tensors), 7, "gradient")
     assert excinfo.value.param == "alpha" and excinfo.value.iteration == 7
     assert str(excinfo.value) == "non-finite gradient for parameter 'alpha' at iteration 7"
-    _check_finite({"zeta": np.zeros(2), "alpha": np.asarray(1.0)}, 7, "gradient")
+    with pytest.raises(NumericalDivergence) as excinfo:
+        _check_finite(model, model.flatten({**tensors, "mid": np.array([1.0, -np.inf, 1.0]),
+                                            "alpha": np.asarray(1.0)}), 7, "gradient")
+    assert excinfo.value.param == "mid"
+    _check_finite(model, model.flatten({"zeta": np.zeros(1), "mid": np.ones(3), "alpha": np.asarray(1.0)}),
+                  7, "gradient")
 
 
 def test_config_validation_errors():

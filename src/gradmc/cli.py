@@ -188,11 +188,13 @@ def cmd_run(args) -> int:
     meta = _load_meta(data_dir)
     family = FAMILIES[meta["model"]]
     model = family.build(**meta["hyper"])
-    train = Dataset(load_csv_columns(data_dir / "train.csv"))
+    # Adopting keeps the loaded matrix as it is and copies only a bare
+    # column out of the parsed table, which is then freed.
+    train = Dataset._adopt(load_csv_columns(data_dir / "train.csv"))
     # Only a classifier's log-loss table reads the test split.
     test_path = data_dir / "test.csv"
     reads_test = family.label_kind is not None and args.test_function != "running-mean"
-    test = Dataset(load_csv_columns(test_path)) if reads_test and test_path.exists() else None
+    test = Dataset._adopt(load_csv_columns(test_path)) if reads_test and test_path.exists() else None
 
     # Every SamplerConfig field is a run flag of the same name; one left unset
     # takes the dataclass default.

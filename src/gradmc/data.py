@@ -73,20 +73,38 @@ class Rng:
 class Dataset:
     """Named tensors split along the first axis; immutable once constructed.
 
-    Every entry is stored as its own C-contiguous (row-major) float64 copy,
+    Every entry is stored C-contiguous (row-major) float64 and read-only,
     whatever the layout it came in, so one observation's values are adjacent
     in memory and a minibatch gather copies whole rows.  Gathering rows of a
     column-major matrix instead reads one scattered cache line per column
     for every row: several times slower for a 20-column matrix.
+
+    ``Dataset(entries)`` copies every entry, so the caller's arrays stay
+    theirs.  ``gen_synth`` and ``gradmc run`` adopt theirs (``_adopt``), so
+    generated and loaded data exist once in memory; the train and test
+    datasets of one ``gen_synth`` call are slices of one read-only buffer.
     """
 
     def __init__(self, entries: Mapping[str, "np.typing.ArrayLike"]):
+        self._store(entries, np.array)
+
+    @classmethod
+    def _adopt(cls, entries: Mapping[str, "np.typing.ArrayLike"]) -> "Dataset":
+        """A dataset over the given arrays themselves, copied only where dtype or layout differ.
+
+        Each stored array is made read-only: the caller hands its arrays over.
+        """
+        dataset = cls.__new__(cls)
+        dataset._store(entries, np.asarray)
+        return dataset
+
+    def _store(self, entries, convert) -> None:
         if not entries:
             raise DomainError("a dataset needs at least one entry")
         stored = {}
         n = None
         for name, value in entries.items():
-            arr = np.array(value, dtype=np.float64, order="C")
+            arr = convert(value, dtype=np.float64, order="C")
             if arr.ndim == 0:
                 raise ShapeError(f"entry {name!r} must have an observation axis")
             if n is None:
@@ -163,6 +181,9 @@ def standard_normal(rng: Rng, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GROUPED = re.compile(r"^(.+)\.(\d+)$")
+# save_csv_columns formats this many rows at a time, so the Python floats it
+# formats exist for one block, not for the whole table.
+_WRITE_ROWS = 4096
 
 
 def save_csv_columns(path, arrays: Mapping[str, np.ndarray]) -> None:
@@ -190,7 +211,9 @@ def save_csv_columns(path, arrays: Mapping[str, np.ndarray]) -> None:
         if columns:
             # One %-format per row gives the text of a per-field f"{v:.17g}".
             row = ",".join(["%.17g"] * len(columns)) + "\n"
-            handle.writelines(row % tuple(values) for values in np.column_stack(columns).tolist())
+            for start in range(0, n_rows, _WRITE_ROWS):
+                block = np.column_stack([col[start:start + _WRITE_ROWS] for col in columns])
+                handle.writelines(row % tuple(values) for values in block.tolist())
 
 
 class _DataLines:

@@ -21,12 +21,13 @@ is never computed.  Forwards that validate their inputs (the labels of
 ``categorical_logpdf``) run under ``grad`` too.  The rank-0 adjoint of a
 ``reduce_sum`` is passed on as it is wherever every term that reads it
 already has the summed node's full shape (the per-row terms of the log
-densities, for one); it is broadcast only where a term needs the full shape
-from it: a pass-through of ``add``/``subtract``/``negate``, a sum into a
-scalar input, ``matmul``, ``broadcast_add`` and a returned gradient.  The
-results are the same bits either way.  Every returned gradient is an array
-of its own, writeable and of the variable's declared shape.  Plans never
-change once built, so graphs stay immutable and shareable across threads.
+densities, for one), through the pass-throughs of ``add``/``subtract``/
+``negate`` to inputs of that shape whose own terms do too; it is broadcast
+only where a term needs the full shape from it: a sum into a scalar input,
+``matmul``, ``broadcast_add`` and a returned gradient.  The results are the
+same bits either way.  Every returned gradient is an array of its own,
+writeable and of the variable's declared shape.  Plans never change once
+built, so graphs stay immutable and shareable across threads.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import densities
+from .densities import _row_max, _row_sum
 from .errors import DomainError, MissingFeed, ShapeError, UnknownVariable
 
 __all__ = ["Graph", "GraphBuilder", "NodeRef", "Node", "as_tensor"]
@@ -139,73 +141,6 @@ def _sigmoid(x):
     return np.clip(out, densities.PROB_CLAMP, 1.0 - densities.PROB_CLAMP)
 
 
-# Row reductions over a short last axis, bit for bit numpy's own.  numpy
-# reduces a C-contiguous (rows, k) array one row at a time, at about 50 ns a
-# row: on one core of an AVX-512 Xeon with numpy 2.4, x.max(axis=-1) on
-# 12000 x 10 takes about 700 us and np.exp of the same array about 100 us.
-# One elementwise op over a strided column costs about 1 us plus its pass,
-# so for 2 <= k < 16 the helpers run about k column ops instead, once there
-# are enough rows per column for that to pay (measured: 32 for max, 100 for
-# sum).  Wider rows keep numpy's reduce: each column pass then reads every
-# cache line of the array, and measured slower.  So do other layouts, whose
-# order numpy picks differently (it sums an F-ordered array's columns
-# sequentially), and rank-1 input.
-def _columns(x, rows_per_column):
-    """The columns of x's rows, or None where numpy's own reduce is used."""
-    k = x.shape[-1] if x.ndim > 1 else 0
-    if not 2 <= k < 16 or not x.flags.c_contiguous or x.size < rows_per_column * k * k:
-        return None
-    return x.reshape(-1, k).T
-
-
-def _settle(out, cols, ok, reduce, shape):
-    """Give the rows not ``ok`` numpy's own result; reshape to keepdims."""
-    if not ok.all():
-        rows = cols.T
-        out[~ok] = reduce(rows[~ok], axis=-1)
-    return out.reshape(shape[:-1] + (1,))
-
-
-def _row_max(x):
-    """``x.max(axis=-1, keepdims=True)``, bit for bit."""
-    cols = _columns(x, 32)
-    if cols is None:
-        return x.max(axis=-1, keepdims=True)
-    out = np.maximum(cols[0], cols[1])
-    for col in cols[2:]:
-        np.maximum(out, col, out=out)
-    # A maximum is the same in any order, except which zero wins a +0/-0 tie
-    # and which NaN comes out; numpy compares long rows in SIMD lanes, so
-    # those rows take its own answer.
-    return _settle(out, cols, np.abs(out) > 0.0, np.max, x.shape)
-
-
-def _row_sum(x):
-    """``x.sum(axis=-1, keepdims=True)``, bit for bit.
-
-    numpy adds a row's pairwise sum to a +0.0 start: below 8 terms the sum
-    is sequential, from 8 to 128 it runs 8 interleaved lanes, adds them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the terms
-    past the last full block of 8.  Adding 0.0 anywhere along the way gives
-    the same bits as adding it first: only a zero result's sign depends on
-    it.  Rows that come out NaN take numpy's own answer, as the NaN's sign
-    depends on which operand numpy's compiled loop puts first.
-    """
-    cols = _columns(x, 100)
-    if cols is None:
-        return x.sum(axis=-1, keepdims=True)
-    if len(cols) < 8:
-        out, rest = cols[0] + 0.0, cols[1:]
-    else:  # one block of 8 lanes: k < 16
-        out = (cols[0] + cols[1]) + (cols[2] + cols[3])
-        out += (cols[4] + cols[5]) + (cols[6] + cols[7])
-        out += 0.0
-        rest = cols[8:]
-    for col in rest:
-        out += col
-    return _settle(out, cols, ~np.isnan(out), np.sum, x.shape)
-
-
 def _softmax(x):
     shifted = x - _row_max(x)
     e = np.exp(shifted)
@@ -221,10 +156,10 @@ class _Op(NamedTuple):
     are what it reads, which is what lets a plan skip forward values that no
     gradient reads.
 
-    ``{g}`` may be rank-0 where only ``reduce_sum`` nodes consume the node:
-    the emitter leaves the sum's adjoint unbroadcast wherever every
-    contribution of the node has the node's full shape anyway, which it
-    decides from ranks.
+    ``{g}`` may be rank-0 where a ``reduce_sum`` consumes the node, directly
+    or through pass-throughs: the emitter leaves the sum's adjoint
+    unbroadcast wherever every contribution downstream has its node's full
+    shape anyway, which it decides from ranks.
     """
 
     forward: str
@@ -587,8 +522,9 @@ class Graph:
     ``grad`` never computes the objective's value, nor any other forward
     value that no backward step reads; a forward that validates its inputs
     (``categorical_logpdf``'s labels) still runs.  A ``reduce_sum`` adjoint
-    stays rank-0 where every term that reads it has the summed node's shape
-    anyway, and is broadcast elsewhere.  Plans never change once
+    stays rank-0 where every term that reads it, through any pass-through
+    of ``add``/``subtract``/``negate``, has the summed node's shape anyway,
+    and is broadcast elsewhere.  Plans never change once
     built, and two threads that race to build one build equal functions, so a
     graph is shareable across threads without a lock; repeated calls with the
     same bindings return bit-identical results.
@@ -754,17 +690,27 @@ class Graph:
             readers = {node.index: (op, contribs) for node, op, contribs in backward}
 
             def full_shaped(idx):
-                """Whether every term reading idx's adjoint has idx's shape even with a rank-0 adjoint."""
+                """Whether idx's adjoint may stay rank-0.
+
+                It may when every term reading it has idx's shape anyway, or
+                passes it on (add, subtract, negate) to an input of idx's
+                shape whose adjoint may stay rank-0 in turn.
+                """
                 if idx in wrt:  # a returned gradient
                     return False
                 if idx not in readers:
                     return True
                 op, contribs = readers[idx]
                 rank = len(nodes[idx].shape)
-                return op.full_terms or op.elementwise and all(
-                    any(f == "y" or f.isdigit() and len(nodes[nodes[idx].inputs[int(f)]].shape) == rank
-                        for f in _fields([text]))
-                    for _, _, text in contribs)
+
+                def full_term(i, text):
+                    fields = _fields([text])
+                    if fields == {"g"}:
+                        return len(nodes[i].shape) == rank and full_shaped(i)
+                    return any(f == "y" or f.isdigit() and len(nodes[nodes[idx].inputs[int(f)]].shape) == rank
+                               for f in fields)
+
+                return op.full_terms or op.elementwise and all(full_term(i, text) for _, i, text in contribs)
 
             grad_lines.append(f"g{targets[0]} = _np.ones((), dtype=_np.float64)")
             assigned = set()

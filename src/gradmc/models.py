@@ -206,9 +206,10 @@ class GeneratedData:
 
 def _gen_gaussian(n, rng: Rng, n_test: int) -> GeneratedData:
     draws = rng.standard_normal((n + n_test,))
+    draws.flags.writeable = False
     return GeneratedData(
-        train=Dataset({"x": draws[:n]}),
-        test=Dataset({"x": draws[n:]}),
+        train=Dataset._adopt({"x": draws[:n]}),
+        test=Dataset._adopt({"x": draws[n:]}),
         true_params={"mean": 0.0, "sd": 1.0},
     )
 
@@ -218,9 +219,10 @@ def _gen_mixture(n, rng: Rng, n_test: int) -> GeneratedData:
     component = (rng.uniform((total,)) < 0.5).astype(np.int64)
     centers = np.stack(MIXTURE_LOCS)[component]
     x = centers + rng.standard_normal((total, 2))
+    x.flags.writeable = False
     return GeneratedData(
-        train=Dataset({"x": x[:n]}),
-        test=Dataset({"x": x[n:]}),
+        train=Dataset._adopt({"x": x[:n]}),
+        test=Dataset._adopt({"x": x[n:]}),
         true_params={"theta1": MIXTURE_LOCS[0].tolist(), "theta2": MIXTURE_LOCS[1].tolist()},
     )
 
@@ -236,9 +238,10 @@ def _gen_logistic(n, rng: Rng, n_test: int, d: int,
     x = rng.uniform((total, d))
     pi = 1.0 / (1.0 + np.exp(-(bias + x @ beta)))
     y = (rng.uniform((total,)) < pi).astype(np.float64)
+    x.flags.writeable = y.flags.writeable = False
     return GeneratedData(
-        train=Dataset({"X": x[:n], "y": y[:n]}),
-        test=Dataset({"X": x[n:], "y": y[n:]}),
+        train=Dataset._adopt({"X": x[:n], "y": y[:n]}),
+        test=Dataset._adopt({"X": x[n:], "y": y[n:]}),
         true_params={"bias": bias, "beta": beta.tolist()},
     )
 
@@ -261,9 +264,10 @@ def _gen_bayes_nn(n, rng: Rng, n_test: int, input_dim: int, hidden: int, classes
     probs = softmax(softmax(x @ true["B"] + true["b"]) @ true["A"] + true["a"])
     u = rng.uniform((total,))
     y = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).astype(np.float64)
+    x.flags.writeable = y.flags.writeable = False
     return GeneratedData(
-        train=Dataset({"X": x[:n], "y": y[:n]}),
-        test=Dataset({"X": x[n:], "y": y[n:]}),
+        train=Dataset._adopt({"X": x[:n], "y": y[:n]}),
+        test=Dataset._adopt({"X": x[n:], "y": y[n:]}),
         true_params={key: val.tolist() for key, val in true.items()},
     )
 
@@ -349,7 +353,9 @@ def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -
     ``hyper`` takes the builder's hyper-parameter names, plus any setting of
     the family's generator (the true coefficients of ``logistic_regression``);
     one left out takes its default, and an unknown name raises ConfigError.
-    ``n_test`` defaults to max(2, n // 5).
+    ``n_test`` defaults to max(2, n // 5).  The train and test datasets are
+    the first ``n`` and the last ``n_test`` rows of one read-only buffer per
+    entry, which both hold without a copy.
     """
     if name not in FAMILIES:
         raise DomainError(f"unknown model family {name!r}")

@@ -328,15 +328,18 @@ def full_log_posterior_grad(
     """Exact full-data log-posterior gradient.
 
     By default this is one pass over the whole dataset in natural row order,
-    bit-identical to ``estimate_gradient`` with a full batch.  With
+    bit-identical to ``estimate_gradient`` with a full batch in that order.
+    The pass reads the dataset's stored arrays themselves, with the
+    likelihood scale at n / n = 1: it gathers no copy of the rows.  With
     ``chunk_size`` set, likelihood gradients accumulate chunk by chunk in a
     fixed sequential order (bit-reproducible across runs, lower peak memory).
     """
     n = dataset.n
     if chunk_size is None or chunk_size >= n:
-        indices = np.arange(n)
-        views = {name: arr[indices] for name, arr in dataset.entries.items()}
-        return estimate_gradient(model, params, Minibatch(indices, views), n)
+        bindings = dict(dataset.entries)
+        bindings.update(params)
+        bindings[_SCALE] = 1.0
+        return model.graph.grad("objective", model.param_names, bindings)
     total = model.graph.grad("log_prior", model.param_names, dict(params))
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)

@@ -3,8 +3,11 @@
 Nothing here touches the package's gradient or sampler code paths: gradients
 come from central finite differences of forward evaluations, and the mixture
 reference chain is a standalone numpy implementation with its own hand-derived
-gradient.
+gradient.  ``traced_peak`` measures memory with the standard library's
+tracemalloc, for the tests that hold the package to a memory budget.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -44,6 +47,23 @@ def assert_grad_close(got, expected, rel=1e-5, floor=1e-8):
             f"{name}[{worst}]: got {g[worst]!r}, expected {e[worst]!r}, "
             f"gap {gap[worst]:.3e} > allowed {allowed[worst]:.3e}"
         )
+
+
+def traced_peak(call):
+    """Peak bytes that ``call()`` allocates beyond what was live before it.
+
+    One untraced warm-up call comes first, so caches and lazy set-up (graph
+    plans, imports) do not count.  numpy reports its array buffers to
+    tracemalloc.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def batch_means_se(chain, n_batches=30):

@@ -86,6 +86,48 @@ def test_dataset_stores_entries_row_major(layout):
     assert given.flags.writeable  # the caller's array is copied, not frozen
 
 
+def test_adopt_stores_a_float64_row_major_array_itself():
+    given = np.random.default_rng(5).standard_normal((30, 4))
+    column = given[:, 0].copy()
+    ds = Dataset._adopt({"x": given, "y": column})
+    for name, array in (("x", given), ("y", column)):
+        assert np.shares_memory(ds[name], array)
+        assert not ds[name].flags.writeable
+        assert not array.flags.writeable  # handed over, so frozen in place
+
+
+@pytest.mark.parametrize("layout", ["F", "rows strided", "columns strided", "float32", "int64"])
+def test_adopt_copies_what_is_not_float64_row_major(layout):
+    base = np.random.default_rng(4).standard_normal((40, 6))
+    given = {
+        "F": np.asfortranarray(base),
+        "rows strided": base[::2],
+        "columns strided": base[:, ::2],
+        "float32": base.astype(np.float32),
+        "int64": (base * 100).astype(np.int64),
+    }[layout]
+    stored = Dataset._adopt({"x": given})["x"]
+    assert stored.flags.c_contiguous and not stored.flags.writeable
+    assert not np.shares_memory(stored, given)
+    assert stored.tobytes() == np.ascontiguousarray(given, dtype=np.float64).tobytes()
+    assert given.flags.writeable  # a copy was taken, so the input stays the caller's
+
+
+@pytest.mark.parametrize("entries", [
+    {},
+    {"x": np.zeros((0, 2))},
+    {"x": np.zeros((5, 2)), "y": np.zeros(4)},
+    {"x": np.float64(3.0)},
+    {"x": np.zeros(3), "y": 1.0},
+], ids=["empty", "no rows", "row counts differ", "scalar", "scalar second"])
+def test_adopt_rejects_what_the_constructor_rejects(entries):
+    with pytest.raises((DomainError, ShapeError)) as copied:
+        Dataset(entries)
+    with pytest.raises(type(copied.value)) as adopted:
+        Dataset._adopt(entries)
+    assert str(adopted.value) == str(copied.value)
+
+
 def test_minibatch_views_are_the_indexed_rows():
     rng = np.random.default_rng(6)
     ds = Dataset({"X": np.asfortranarray(rng.standard_normal((500, 7))), "y": rng.standard_normal(500),
@@ -200,20 +242,24 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_write_is_the_per_field_format_text(tmp_path):
     # The written text equals each field formatted on its own with
-    # f"{v:.17g}", specials included.
+    # f"{v:.17g}", specials included, at row counts around the write block.
     specials = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 0.0, -0.0,
                 5e-324, -2.5e-310, 1.0 / 3.0, -1e300]
     rng = np.random.default_rng(3)
-    y = np.array(specials + list(rng.standard_normal(6)))
-    X = np.column_stack([y[::-1], rng.standard_normal(y.size) * 1e-5])
-    path = tmp_path / "data.csv"
-    save_csv_columns(path, {"X": X, "y": y})
-    columns = [X[:, 0], X[:, 1], y]
-    expected = "X.1,X.2,y\n" + "".join(
-        ",".join(f"{col[i]:.17g}" for col in columns) + "\n" for i in range(y.size)
-    )
-    assert path.read_text() == expected
-    assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= set(expected.replace("\n", ",").split(","))
+    first = np.array(specials + list(rng.standard_normal(6)))
+    block = gradmc.data._WRITE_ROWS
+    for n_rows in (first.size, 0, 1, block, block + 1):
+        y = np.resize(first, n_rows)
+        X = np.column_stack([y[::-1], rng.standard_normal(y.size) * 1e-5])
+        path = tmp_path / "data.csv"
+        save_csv_columns(path, {"X": X, "y": y})
+        columns = [X[:, 0], X[:, 1], y]
+        expected = "X.1,X.2,y\n" + "".join(
+            ",".join(f"{col[i]:.17g}" for col in columns) + "\n" for i in range(y.size)
+        )
+        assert path.read_text() == expected, n_rows
+        if n_rows == first.size:
+            assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= set(expected.replace("\n", ",").split(","))
 
 
 def test_csv_matrix_entries_are_row_major(tmp_path):

@@ -596,6 +596,25 @@ def test_grad_skips_forward_values_no_gradient_reads(monkeypatch):
     assert len(calls) == 2
 
 
+def test_sum_adjoint_passes_through_add_to_full_shaped_terms(monkeypatch):
+    # Logistic regression sums y * log(pi) + (1 - y) * log(1 - pi).  Both
+    # terms of the add read its adjoint at full shape anyway, so the sum's
+    # adjoint passes through the add rank-0: no broadcast, and no logs, which
+    # only the add's shape would read.
+    from gradmc.models import build_logistic_regression
+
+    logs, broadcasts = [], []
+    original_log, original_broadcast = np.log, np.broadcast_to
+    monkeypatch.setattr(np, "log", lambda *a, **k: logs.append(1) or original_log(*a, **k))
+    monkeypatch.setattr(np, "broadcast_to", lambda *a, **k: broadcasts.append(1) or original_broadcast(*a, **k))
+    model = build_logistic_regression(d=3)
+    rng = np.random.default_rng(2)
+    bindings = {"X": rng.uniform(size=(9, 3)), "y": (rng.uniform(size=9) < 0.5) * 1.0,
+                "beta": rng.standard_normal((3, 1)), "bias": 0.2, "__grad_scale__": 1.0}
+    model.graph.grad("objective", model.param_names, bindings)
+    assert logs == [] and broadcasts == []
+
+
 def _returned_gradient_graphs():
     def sum_of_vector(b):
         return b.reduce_sum(b.variable("t", (3,)))
@@ -672,7 +691,7 @@ def _reduction_inputs(k):
 
 @pytest.mark.parametrize("k", range(1, 41))
 def test_row_reductions_are_numpys_bit_for_bit(k):
-    from gradmc.graph import _columns, _row_max, _row_sum
+    from gradmc.densities import _columns, _row_max, _row_sum
 
     for label, x in _reduction_inputs(k):
         with np.errstate(invalid="ignore"):

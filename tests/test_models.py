@@ -21,8 +21,8 @@ from gradmc import (
     log_density_value,
     nn_forward,
 )
-from gradmc.models import FAMILIES
-from oracles import assert_grad_close, finite_diff_grad
+from gradmc.models import FAMILIES, MIXTURE_LOCS
+from oracles import assert_grad_close, finite_diff_grad, traced_peak
 
 
 def full_minibatch(dataset):
@@ -264,6 +264,39 @@ def test_builders_name_their_hyper_parameters_on_a_wrong_one(family):
     accepted = ", ".join(FAMILIES[family].hyper_defaults)
     with pytest.raises(ConfigError, match=f"{build.__name__} takes no hyper-parameter 'depth'; it takes {accepted}$"):
         build(depth=2)
+
+
+# Each family's first draw, taken straight from the stream: the rows of
+# its first entry, train then test.
+_FIRST_DRAWS = {
+    "gaussian": ("x", lambda rng, total: rng.standard_normal((total,))),
+    "gaussian_mixture": ("x", lambda rng, total: np.stack(MIXTURE_LOCS)[
+        (rng.uniform((total,)) < 0.5).astype(np.int64)] + rng.standard_normal((total, 2))),
+    "logistic_regression": ("X", lambda rng, total: rng.uniform((total, 5))),
+    "bayes_nn": ("X", lambda rng, total: rng.standard_normal((total, 20))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_generated_splits_are_the_draws_in_one_read_only_buffer(family):
+    data = gen_synth(family, 40, Rng(9), n_test=7)
+    name, draw = _FIRST_DRAWS[family]
+    expected = draw(Rng(9), 47)
+    assert data.train[name].tobytes() + data.test[name].tobytes() == expected.tobytes()
+    for entry in data.train.entries:
+        train, test = data.train[entry], data.test[entry]
+        assert train.base is test.base and train.base.shape[0] == 47
+        for stored in (train, test):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored.flags.writeable = True
+
+
+def test_gaussian_generation_holds_its_data_once():
+    # The draws are the datasets' storage: no copy of them is made.
+    data = gen_synth("gaussian", 200_000, Rng(1))
+    data_bytes = data.train["x"].nbytes + data.test["x"].nbytes
+    assert traced_peak(lambda: gen_synth("gaussian", 200_000, Rng(1))) <= 1.1 * data_bytes
 
 
 def test_nn_generator_labels_in_range():

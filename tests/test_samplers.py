@@ -41,7 +41,7 @@ from gradmc import (
 )
 import gradmc.samplers
 from gradmc.samplers import ControlVariateState, _check_finite
-from oracles import batch_means_se
+from oracles import batch_means_se, traced_peak
 
 
 def _streams(seed):
@@ -506,6 +506,17 @@ def test_full_grad_vanishes_at_analytic_mode():
     mode = {"theta": np.asarray(x.sum() / (500 + 0.1))}
     grad = full_log_posterior_grad(model, dataset, mode)
     assert abs(float(grad["theta"])) < 1e-8
+
+
+def test_full_grad_reads_the_stored_rows_without_a_copy():
+    # The pass binds the dataset's arrays: beyond them it allocates only the
+    # gaussian gradient's own temporaries (2.0x the data).  A gathered copy
+    # of the rows and its index array would add 2.0x more.
+    model = build_gaussian(10.0)
+    dataset = gen_synth("gaussian", 200_000, Rng(2)).train
+    params = {"theta": np.asarray(0.1)}
+    peak = traced_peak(lambda: full_log_posterior_grad(model, dataset, params))
+    assert peak <= 2.5 * dataset["x"].nbytes
 
 
 def test_full_grad_chunked_matches_single_pass():

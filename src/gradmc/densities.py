@@ -2,7 +2,10 @@
 
 These are plain numpy functions over float64 arrays.  The expression-graph
 forward pass calls the same functions, so `log_density_value` and the
-corresponding graph nodes produce identical numbers by construction.
+corresponding graph nodes produce identical numbers by construction.  The
+mixture is the exception: the graph composes it from two
+`mvnormal_diag_logpdf` nodes and `logaddexp`, and `mixture2_logpdf` here is
+the oracle a test pins that composition to, bit for bit.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ Tensors are numpy float64 arrays; scalars are rank-0.  A placeholder may leave
 its first axis open (``None``) so the same graph evaluates on batches of any
 size.
 
+The log densities are primitives whose forwards are the functions of
+:mod:`gradmc.densities`, except the two-component mixture, which the builder
+composes from two ``mvnormal_diag_logpdf`` nodes and ``logaddexp``.
+
 Each (objective, wrt) pair that ``Graph.grad`` sees, and each output tuple
 that ``Graph.eval`` sees, compiles once into a plan cached on the graph: one
 Python function, emitted as straight-line source from per-op templates and
@@ -151,10 +155,9 @@ class _Op(NamedTuple):
     """Source templates of one primitive, filled in by ``Graph._compile``.
 
     Fields: ``{0}``, ``{1}``, ... an input's value; ``{y}`` the node's own
-    value; ``{g}`` its adjoint; ``{t}`` a prefix for temporaries; any other
-    name an entry of the node's attrs.  The fields a backward template uses
-    are what it reads, which is what lets a plan skip forward values that no
-    gradient reads.
+    value; ``{g}`` its adjoint; ``{t}`` a prefix for temporaries.  A template
+    reads nothing else, so the fields a backward template uses are what it
+    reads: that lets a plan skip forward values that no gradient reads.
 
     ``{g}`` may be rank-0 where a ``reduce_sum`` consumes the node, directly
     or through pass-throughs: the emitter leaves the sum's adjoint
@@ -190,6 +193,9 @@ _OPS = {
     "matmul": _Op("{0} @ {1}", ("{g} @ {1}.T", "{0}.T @ {g}")),
     "reduce_sum": _Op("{0}.sum()", ("{g}",), sums=True),
     "exp": _Op("_np.exp({0})", ("{g} * {y}",), elementwise=True),
+    "logaddexp": _Op(
+        "_np.logaddexp({0}, {1})", ("{g} * _np.exp({0} - {y})", "{g} * _np.exp({1} - {y})"), elementwise=True,
+    ),
     "log": _Op("_np.log({0})", ("{g} / {0}",), elementwise=True),
     # sign(0) = 0: the subgradient of |x| at the kink is taken as 0.
     "abs": _Op("_np.abs({0})", ("{g} * _np.sign({0})",), elementwise=True),
@@ -219,8 +225,8 @@ _OPS = {
     ),
     # NaN outside the support so divergent chains trip the finiteness checks.
     "gamma_logpdf": _Op(
-        "_densities.gamma_logpdf({0}, {shape_param}, {rate})",
-        ("{g} * _np.where({0} > 0.0, ({shape_param} - 1.0) / {t}safe - {rate}, _np.nan)",),
+        "_densities.gamma_logpdf({0}, {1}, {2})",
+        ("{g} * _np.where({0} > 0.0, ({1} - 1.0) / {t}safe - {2}, _np.nan)", None, None),
         pre=("{t}safe = _np.where({0} > 0.0, {0}, 1.0)",), elementwise=True,
     ),
     "categorical_logpdf": _Op(
@@ -235,26 +241,6 @@ _OPS = {
             "{t}picked > _densities.PROB_CLAMP, _np.asarray({g}) / {t}picked, 0.0)",
         ),
         full_terms=True, checks=True,
-    ),
-    "mixture2_logpdf": _Op(
-        "_densities.mixture2_logpdf({0}, {1}, {2}, {scale1}, {scale2}, {weights}[0], {weights}[1])",
-        (
-            "-{t}g1 * {t}z1 / {scale1} - {t}g2 * {t}z2 / {scale2}",
-            "({t}g1 * {t}z1 / {scale1}).sum(axis=0)",
-            "({t}g2 * {t}z2 / {scale2}).sum(axis=0)",
-        ),
-        pre=(
-            "{t}c1 = _densities.mvnormal_diag_logpdf({0}, {1}, {scale1})",
-            "{t}c2 = _densities.mvnormal_diag_logpdf({0}, {2}, {scale2})",
-            "with _np.errstate(divide='ignore'):",
-            "    {t}r1 = _np.exp(_np.log({weights}[0]) + {t}c1 - {y}) if {weights}[0] > 0.0 else _np.zeros_like({t}c1)",
-            "    {t}r2 = _np.exp(_np.log({weights}[1]) + {t}c2 - {y}) if {weights}[1] > 0.0 else _np.zeros_like({t}c2)",
-            "{t}g1 = (_np.asarray({g}) * {t}r1)[:, None]",
-            "{t}g2 = (_np.asarray({g}) * {t}r2)[:, None]",
-            "{t}z1 = ({0} - {1}) / {scale1}",
-            "{t}z2 = ({0} - {2}) / {scale2}",
-        ),
-        full_terms=True,
     ),
 }
 _FIELDS = string.Formatter()
@@ -348,6 +334,9 @@ class GraphBuilder:
     def log(self, a) -> NodeRef:
         return self._unary("log", a)
 
+    def logaddexp(self, a, b) -> NodeRef:
+        return self._binary("logaddexp", a, b)
+
     def abs(self, a) -> NodeRef:
         return self._unary("abs", a)
 
@@ -394,9 +383,7 @@ class GraphBuilder:
         rate = float(rate)
         if shape_param <= 0.0 or rate <= 0.0:
             raise DomainError("gamma shape and rate must be positive")
-        return self._append(
-            "gamma_logpdf", (x,), x.shape, {"shape_param": shape_param, "rate": rate}
-        )
+        return self._append("gamma_logpdf", (x, self.constant(shape_param), self.constant(rate)), x.shape)
 
     def categorical_logpdf(self, probs, labels) -> NodeRef:
         probs, labels = self._lift(probs), self._lift(labels)
@@ -408,6 +395,12 @@ class GraphBuilder:
         return self._append("categorical_logpdf", (probs, labels), (n,))
 
     def mixture2_logpdf(self, x, loc1, loc2, scale1=None, scale2=None, weights=(0.5, 0.5)) -> NodeRef:
+        """Per-row log density of a two-component diagonal-normal mixture.
+
+        ``logaddexp`` of each component's log weight plus its
+        ``mvnormal_diag_logpdf``, so autodiff derives the gradient.  A zero
+        weight is the constant -inf, and its component's gradient is zero.
+        """
         x, loc1, loc2 = self._lift(x), self._lift(loc1), self._lift(loc2)
         if len(x.shape) != 2:
             raise ShapeError(f"mixture2_logpdf: x must be (n, d), got {x.shape}")
@@ -424,11 +417,11 @@ class GraphBuilder:
             raise ShapeError("mixture2 scales must be vectors matching the data dimension")
         if np.any(s1 <= 0.0) or np.any(s2 <= 0.0):
             raise DomainError("mixture2 scales must be positive")
-        return self._append(
-            "mixture2_logpdf",
-            (x, loc1, loc2),
-            (x.shape[0],),
-            {"weights": (w1, w2), "scale1": s1, "scale2": s2},
+        with np.errstate(divide="ignore"):
+            lw1, lw2 = np.log(w1), np.log(w2)
+        return self.logaddexp(
+            self.add(lw1, self.mvnormal_diag_logpdf(x, loc1, s1)),
+            self.add(lw2, self.mvnormal_diag_logpdf(x, loc2, s2)),
         )
 
     # -- finalize -------------------------------------------------------------
@@ -602,7 +595,7 @@ class Graph:
 
         For ``eval`` the targets are the outputs called ``names``; for
         ``grad`` the one target is the objective and ``names`` are the
-        variables to differentiate by.  Names, attrs and constants reach the
+        variables to differentiate by.  Names and constants reach the
         function through its namespace: generated identifiers come from node
         indices only.
         """
@@ -680,9 +673,6 @@ class Graph:
         }
 
         def fill(text, node, **fields):
-            for j, (key, value) in enumerate(node.attrs.items()):
-                ns[f"a{node.index}_{j}"] = value
-                fields[key] = f"a{node.index}_{j}"
             return text.format(*(f"v{i}" for i in node.inputs), **fields)
 
         grad_lines, results = [], []

@@ -216,9 +216,9 @@ def _gen_gaussian(n, rng: Rng, n_test: int) -> GeneratedData:
 
 def _gen_mixture(n, rng: Rng, n_test: int) -> GeneratedData:
     total = n + n_test
-    component = (rng.uniform((total,)) < 0.5).astype(np.int64)
-    centers = np.stack(MIXTURE_LOCS)[component]
-    x = centers + rng.standard_normal((total, 2))
+    second = rng.uniform((total,)) < 0.5
+    x = rng.standard_normal((total, 2))
+    x += np.where(second[:, None], MIXTURE_LOCS[1], MIXTURE_LOCS[0])
     x.flags.writeable = False
     return GeneratedData(
         train=Dataset._adopt({"x": x[:n]}),

@@ -153,15 +153,10 @@ class Model:
         return {name: flat[..., part].reshape(lead + shape) for name, (part, shape) in self._layout.items()}
 
     def log_posterior_value(self, params, data_bindings, scale=1.0) -> float:
-        bindings = dict(data_bindings)
-        bindings.update(params)
-        bindings[_SCALE] = scale
-        return float(self.graph.eval(bindings, ["objective"])["objective"])
+        return float(self.eval_output("objective", {**params, _SCALE: scale}, data_bindings))
 
     def log_lik_value(self, params, data_bindings) -> float:
-        bindings = dict(data_bindings)
-        bindings.update(params)
-        return float(self.graph.eval(bindings, ["log_lik"])["log_lik"])
+        return float(self.eval_output("log_lik", params, data_bindings))
 
     def eval_output(self, name, params, data_bindings=None) -> np.ndarray:
         bindings = dict(data_bindings or {})

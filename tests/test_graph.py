@@ -124,7 +124,11 @@ def test_grad_of_unused_variable_is_zero():
 
 
 def _random_primitive_graphs():
-    """One scalar graph per differentiable primitive, with generic inputs."""
+    """One scalar graph per primitive, with generic inputs.
+
+    Each case is (build, variable values) or (build, variable values, data
+    feeds); the gradient is taken with respect to every variable.
+    """
     rng = np.random.default_rng(42)
 
     def unary(op, transform=lambda a: a):
@@ -207,20 +211,36 @@ def _random_primitive_graphs():
             ),
             {"x": rng.standard_normal((6, 2)), "l1": rng.standard_normal(2), "l2": rng.standard_normal(2)},
         ),
+        "logaddexp": (lambda b: b.reduce_sum(b.logaddexp(b.variable("v", (4,)), b.variable("w", (4,)))),
+                      {"v": rng.standard_normal(4), "w": rng.standard_normal(4)}),
+        "categorical": (
+            lambda b: b.reduce_sum(
+                b.categorical_logpdf(b.softmax(b.variable("m", (4, 3))), b.placeholder("y", (None,)))
+            ),
+            {"m": rng.standard_normal((4, 3))},
+            {"y": np.array([0.0, 2.0, 1.0, 2.0])},
+        ),
     }
     return cases
 
 
 @pytest.mark.parametrize("name", sorted(_random_primitive_graphs()))
 def test_primitive_gradients_match_finite_differences(name):
-    build, params = _random_primitive_graphs()[name]
+    build, params, data = (*_random_primitive_graphs()[name], {})[:3]
     graph = scalar_graph(build)
 
     def f(p):
-        return float(graph.eval(p, ["out"])["out"])
+        return float(graph.eval({**data, **p}, ["out"])["out"])
 
-    got = graph.grad("out", sorted(params), params)
+    got = graph.grad("out", sorted(params), {**data, **params})
     assert_grad_close(got, finite_diff_grad(f, params), rel=1e-5, floor=1e-8)
+
+
+def test_primitive_cases_cover_every_op():
+    from gradmc.graph import _OPS
+
+    ops = {node.op for case in _random_primitive_graphs().values() for node in scalar_graph(case[0])._nodes}
+    assert not set(_OPS) - ops, sorted(set(_OPS) - ops)
 
 
 def test_grad_is_linear():
@@ -423,7 +443,7 @@ def _random_dag(rng):
         )
 
     makers = [unary(op) for op in ("negate", "exp", "log", "abs", "square", "sqrt", "rsqrt", "sigmoid")]
-    makers += [binary(op) for op in ("add", "subtract", "multiply", "divide")]
+    makers += [binary(op) for op in ("add", "subtract", "multiply", "divide", "logaddexp")]
     makers += [location("normal_logpdf"), location("laplace_logpdf"), mvnormal, gamma, categorical, mixture]
     makers += [
         lambda: ("m", b.matmul(pick("m"), pick("m"))),
@@ -498,6 +518,7 @@ def _multi_input_primitives():
             "mixture2_logpdf", [rng.standard_normal((5, 2)), rng.standard_normal(2), rng.standard_normal(2)],
             {"scale1": (1.0, 1.5), "weights": (0.4, 0.6)},
         ),
+        "logaddexp": ("logaddexp", [vec, rng.standard_normal(4)], {}),
     }
 
 
@@ -593,6 +614,23 @@ def test_grad_skips_forward_values_no_gradient_reads(monkeypatch):
     assert len(broadcasts) == 0  # the sums' adjoints stay rank-0
     assert grads["theta"] == pytest.approx(2.0 * np.sum(bindings["x"] - 0.3) - 0.3 / 10.0, rel=1e-12)
     model.graph.eval(bindings, ["objective"])
+    assert len(calls) == 2
+
+
+def test_mixture_gradient_computes_each_component_density_once(monkeypatch):
+    # The mixture's backward reads the component densities its forward
+    # computed; the priors' densities are never computed under grad.
+    import gradmc.densities
+    from gradmc import estimate_gradient, sample_minibatch
+    from gradmc.models import build_gaussian_mixture
+
+    calls = []
+    original = gradmc.densities.mvnormal_diag_logpdf
+    monkeypatch.setattr(gradmc.densities, "mvnormal_diag_logpdf", lambda *a: calls.append(1) or original(*a))
+    model = build_gaussian_mixture()
+    data = gen_synth("gaussian_mixture", 600, Rng(4)).train
+    params = FAMILIES["gaussian_mixture"].init_params(model, Rng(5))
+    estimate_gradient(model, params, sample_minibatch(data, 600, Rng(6)), data.n)
     assert len(calls) == 2
 
 

@@ -1,6 +1,7 @@
 """Distribution log-density values, checked against directly evaluated formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,26 @@ def test_mixture_lower_bound_and_degenerate_weight():
     assert np.all(mix >= math.log(0.75) + c2 - 1e-12)
     only1 = log_density_value("mixture2", x, loc1=loc1, loc2=loc2, weights=(1.0, 0.0))
     np.testing.assert_allclose(only1, c1, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("live", [0, 1])
+def test_mixture_with_a_zero_weight_has_its_live_components_gradient(live):
+    rng = np.random.default_rng(14)
+    x, locs = rng.standard_normal((9, 2)), [rng.standard_normal(2), rng.standard_normal(2)]
+    b = GraphBuilder()
+    data, l1, l2 = b.placeholder("x", (None, 2)), b.variable("l1", (2,)), b.variable("l2", (2,))
+    weights = (1.0, 0.0) if live == 0 else (0.0, 1.0)
+    mix = b.build({"out": b.reduce_sum(b.mixture2_logpdf(data, l1, l2, weights=weights))})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = mix.grad("out", ["l1", "l2"], {"x": x, "l1": locs[0], "l2": locs[1]})
+    b = GraphBuilder()
+    alone = b.build({"out": b.reduce_sum(
+        b.mvnormal_diag_logpdf(b.placeholder("x", (None, 2)), b.variable("loc", (2,)), (1.0, 1.0)))})
+    expected = alone.grad("out", ["loc"], {"x": x, "loc": locs[live]})["loc"]
+    live_name, dead_name = ("l1", "l2") if live == 0 else ("l2", "l1")
+    assert got[live_name].tobytes() == expected.tobytes()
+    assert np.all(got[dead_name] == 0.0)
 
 
 def test_logdensity_nodes_are_per_observation():

@@ -299,6 +299,14 @@ def test_gaussian_generation_holds_its_data_once():
     assert traced_peak(lambda: gen_synth("gaussian", 200_000, Rng(1))) <= 1.1 * data_bytes
 
 
+def test_mixture_generation_peak_stays_near_its_data():
+    # The component choice is a bool mask, and the centres are added in place
+    # into the normal draw: at the peak, the draw, the centres and the mask.
+    data = gen_synth("gaussian_mixture", 200_000, Rng(1))
+    data_bytes = data.train["x"].nbytes + data.test["x"].nbytes
+    assert traced_peak(lambda: gen_synth("gaussian_mixture", 200_000, Rng(1))) <= 2.2 * data_bytes
+
+
 def test_nn_generator_labels_in_range():
     data = gen_synth("bayes_nn", 100, Rng(5), n_test=10, input_dim=6, hidden=4, classes=3)
     labels = data.train["y"]

@@ -14,7 +14,6 @@ from .data import (
     sample_minibatch,
     standard_normal,
 )
-from .densities import log_density_value
 from .diagnostics import (
     DiagGaussian,
     RunningMean,
@@ -22,7 +21,6 @@ from .diagnostics import (
     log_loss_binary,
     log_loss_multiclass,
     moment_match,
-    running_mean,
 )
 from .errors import (
     ConfigError,

@@ -14,9 +14,8 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -135,8 +134,7 @@ class Dataset:
         return self._entries[name]
 
 
-@dataclass(frozen=True)
-class Minibatch:
+class Minibatch(NamedTuple):
     """Distinct observation indices plus the selected rows of every entry."""
 
     indices: np.ndarray

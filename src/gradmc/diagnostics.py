@@ -22,7 +22,6 @@ __all__ = [
     "log_loss_multiclass",
     "moment_match",
     "kl_diag_gaussian",
-    "running_mean",
     "RunningMean",
 ]
 
@@ -128,25 +127,13 @@ def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> float:
     )
 
 
-def running_mean(state, x):
-    """Fold one value into a running mean.
-
-    ``state`` is (mean, count); returns the updated pair without mutating the
-    inputs.  Seed with (first_value, 1).
-    """
-    mean, count = state
-    mean = np.asarray(mean, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if mean.shape != x.shape:
-        raise ShapeError(f"running mean shapes differ: {mean.shape} vs {x.shape}")
-    return (mean * count + x) / (count + 1), count + 1
-
-
 class RunningMean:
     """Stateful running mean over parameter maps, usable as a chain hook.
 
-    Calling it with a name-to-tensor map updates the mean and returns a
-    detached copy of the current means.
+    Calling it with a name-to-tensor map folds each tensor into its mean,
+    (mean * count + x) / (count + 1), and returns a detached copy of the
+    current means; the first call's tensors are the first means.  A tensor
+    whose shape differs from its mean's raises ShapeError.
     """
 
     def __init__(self):
@@ -156,9 +143,11 @@ class RunningMean:
     def __call__(self, params):
         if self.means is None:
             self.means = {name: np.asarray(v, dtype=np.float64).copy() for name, v in params.items()}
-            self.count = 1
         else:
-            for name in self.means:
-                self.means[name], _ = running_mean((self.means[name], self.count), params[name])
-            self.count += 1
+            for name, mean in self.means.items():
+                x = np.asarray(params[name], dtype=np.float64)
+                if mean.shape != x.shape:
+                    raise ShapeError(f"running mean shapes differ: {mean.shape} vs {x.shape}")
+                self.means[name] = (mean * self.count + x) / (self.count + 1)
+        self.count += 1
         return {name: v.copy() for name, v in self.means.items()}

@@ -15,10 +15,16 @@ The log densities are primitives whose forwards are the functions of
 composes from two ``mvnormal_diag_logpdf`` nodes and ``logaddexp``.
 
 Each (objective, wrt) pair that ``Graph.grad`` sees, and each output tuple
-that ``Graph.eval`` sees, compiles once into a plan cached on the graph: one
-Python function, emitted as straight-line source from per-op templates and
-``exec``-ed once.  Shapes, and which gradients flow where, are decided while
-emitting.  A gradient plan computes only the contributions someone consumes,
+that ``Graph.eval`` sees, compiles once into a plan body cached on the graph:
+one Python function, emitted as straight-line source from per-op templates
+and ``exec``-ed once.  It takes its leaves positionally, unchecked, and a
+gradient body writes one flat vector.  ``Graph.grad``/``Graph.eval`` check
+and conform the bindings, then call it; a sampler chain binds it once
+(:class:`gradmc.samplers.ChainState`).  Rank-0 leaves and constants and the
+seed adjoint are numpy scalars in a body: the same IEEE bits as rank-0
+arrays, without numpy's array dispatch.  Shapes, and which gradients flow
+where, are decided while emitting.  A gradient plan computes only the
+contributions someone consumes,
 so data, constants and variables nobody asked for cost no backward work, and
 only the forward values its backward steps read, so the objective's own value
 is never computed.  Forwards that validate their inputs (the labels of
@@ -28,14 +34,18 @@ already has the summed node's full shape (the per-row terms of the log
 densities, for one), through the pass-throughs of ``add``/``subtract``/
 ``negate`` to inputs of that shape whose own terms do too; it is broadcast
 only where a term needs the full shape from it: a sum into a scalar input,
-``matmul``, ``broadcast_add`` and a returned gradient.  The results are the
-same bits either way.  Every returned gradient is an array of its own,
-writeable and of the variable's declared shape.  Plans never change once
-built, so graphs stay immutable and shareable across threads.
+``matmul``, ``broadcast_add`` and a returned gradient.  A backward
+statement drops a factor that is the rank-0 constant 1.0.  The results are
+the same bits either way.  Every gradient and output ``grad`` and ``eval``
+return is an array of its own, rank-0 ones included, writeable and of its
+node's declared shape.  Plans never change once built, so graphs stay
+immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import string
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -55,9 +65,7 @@ def as_tensor(value) -> np.ndarray:
 
 
 def _dims_compatible(declared, given) -> bool:
-    if len(declared) != len(given):
-        return False
-    return all(d is None or d == g for d, g in zip(declared, given))
+    return len(declared) == len(given) and all(d is None or d == g for d, g in zip(declared, given))
 
 
 def _merge_dim(a, b, context):
@@ -191,7 +199,7 @@ _OPS = {
     "divide": _Op("{0} / {1}", ("{g} / {1}", "-{g} * {0} / ({1} * {1})"), elementwise=True),
     "negate": _Op("-{0}", ("-{g}",), elementwise=True),
     "matmul": _Op("{0} @ {1}", ("{g} @ {1}.T", "{0}.T @ {g}")),
-    "reduce_sum": _Op("{0}.sum()", ("{g}",), sums=True),
+    "reduce_sum": _Op("_sum({0}, None)", ("{g}",), sums=True),
     "exp": _Op("_np.exp({0})", ("{g} * {y}",), elementwise=True),
     "logaddexp": _Op(
         "_np.logaddexp({0}, {1})", ("{g} * _np.exp({0} - {y})", "{g} * _np.exp({1} - {y})"), elementwise=True,
@@ -207,7 +215,7 @@ _OPS = {
         "_softmax({0})", ("{y} * ({g} - {t}inner)",),
         pre=("{t}inner = _row_sum({g} * {y})",), elementwise=True,
     ),
-    "broadcast_add": _Op("{0} + {1}", ("{g}", "{g}.sum(axis=0)")),
+    "broadcast_add": _Op("{0} + {1}", ("{g}", "_sum({g}, 0)")),
     "normal_logpdf": _Op(
         "_densities.normal_logpdf({0}, {1}, {2})",
         ("-{g} * {t}z / {2}", "{g} * {t}z / {2}", "{g} * ({t}z * {t}z - 1.0) / {2}"),
@@ -244,6 +252,8 @@ _OPS = {
     ),
 }
 _FIELDS = string.Formatter()
+# A factor `` * v<i>`` or `` / v<i>``, as the right operand of its operator.
+_FACTOR = re.compile(r" [*/] (v\d+)(?![\w.\[])")
 
 
 def _fields(templates) -> set:
@@ -507,11 +517,12 @@ class GraphBuilder:
 class Graph:
     """Frozen expression DAG.
 
-    ``eval`` and ``grad`` run from plans compiled on first use and cached per
-    output tuple or (objective, wrt) pair.  A plan is one Python function,
-    emitted as source and ``exec``-ed once: it binds and checks the leaves
-    that feed the target, computes the forward values the result reads, and,
-    for ``grad``, one line per gradient contribution, in reverse node order.
+    ``eval`` and ``grad`` check and conform the leaves that feed the target,
+    then run a plan body compiled on first use and cached per output tuple
+    or (objective, wrt) pair.  A body is one Python function, emitted as
+    source and ``exec``-ed once: it takes the leaves positionally, computes
+    the forward values the result reads, and, for ``grad``, one line per
+    gradient contribution, in reverse node order.
     ``grad`` never computes the objective's value, nor any other forward
     value that no backward step reads; a forward that validates its inputs
     (``categorical_logpdf``'s labels) still runs.  A ``reduce_sum`` adjoint
@@ -553,7 +564,8 @@ class Graph:
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._compile([self._resolve(name) for name in names], names, grad=False)
-        return plan(bindings)
+        leaves, body = plan
+        return dict(zip(names, body(*self._feed(leaves, bindings))))
 
     def grad(
         self,
@@ -568,6 +580,31 @@ class Graph:
         of the declared shape.
         """
         wrt = tuple(wrt)
+        leaves, body = self._grad_plan(objective, wrt)
+        flat = body(*self._feed(leaves, bindings))
+        grads, start = {}, 0
+        for name in wrt:
+            shape = self._nodes[self._variables[name]].shape
+            stop = start + math.prod(shape)
+            grads[name] = flat[start:stop].reshape(shape).copy()
+            start = stop
+        return grads
+
+    # -- internals -------------------------------------------------------------
+
+    def _resolve(self, name: str) -> int:
+        for table in (self._outputs, self._variables, self._placeholders):
+            if name in table:
+                return table[name]
+        raise UnknownVariable(f"{name!r} names no output, variable or placeholder")
+
+    def _grad_plan(self, objective: str, wrt: tuple) -> tuple[tuple, Callable]:
+        """The (leaves, body) pair of a gradient, compiled on first use.
+
+        ``body`` takes the value of each leaf in ``leaves`` positionally and
+        returns one new float64 vector: the gradients by ``wrt``, each
+        row-major, one after another.
+        """
         key = ("grad", objective, wrt)
         plan = self._plans.get(key)
         if plan is None:
@@ -580,24 +617,28 @@ class Graph:
                     f"gradient objective {objective!r} must be scalar, has shape {self._nodes[obj].shape}"
                 )
             plan = self._plans[key] = self._compile([obj], wrt, grad=True)
-        return plan(bindings)
+        return plan
 
-    # -- internals -------------------------------------------------------------
+    def _feed(self, leaves, bindings: Mapping[str, Any]) -> list:
+        """Each leaf's binding, checked and conformed, in a body's argument order."""
+        args = []
+        for node in leaves:
+            name = node.attrs["name"]
+            if name not in bindings:
+                raise MissingFeed(f"no binding supplied for leaf {name!r}")
+            arr = as_tensor(bindings[name])
+            args.append(arr.reshape(self._conformed_shape(node, arr.shape))[()])  # rank-0 as a scalar
+        return args
 
-    def _resolve(self, name: str) -> int:
-        for table in (self._outputs, self._variables, self._placeholders):
-            if name in table:
-                return table[name]
-        raise UnknownVariable(f"{name!r} names no output, variable or placeholder")
+    def _compile(self, targets: list, names: tuple, grad: bool) -> tuple[tuple, Callable]:
+        """Emit and ``exec`` the plan body for the target nodes.
 
-    def _compile(self, targets: list, names: tuple, grad: bool) -> Callable:
-        """Emit and ``exec`` the plan function for the target nodes.
-
-        For ``eval`` the targets are the outputs called ``names``; for
-        ``grad`` the one target is the objective and ``names`` are the
-        variables to differentiate by.  Names and constants reach the
-        function through its namespace: generated identifiers come from node
-        indices only.
+        For ``eval`` the targets are the outputs called ``names``, and the
+        body returns their values as arrays; for ``grad`` the one target is
+        the objective, ``names`` are the variables to differentiate by, and
+        the body returns their flat gradient.  Its arguments are the leaves
+        feeding the targets, in node order, returned alongside it.  Names
+        reach it through its namespace: identifiers come from node indices.
         """
         nodes = self._nodes
         feeds = [False] * len(nodes)
@@ -669,13 +710,24 @@ class Graph:
 
         ns = {
             "_np": np, "_densities": densities, "_sigmoid": _sigmoid, "_softmax": _softmax,
-            "_row_sum": _row_sum, "_conform": self._conform, "_MissingFeed": MissingFeed,
+            "_row_sum": _row_sum, "_one": np.float64(1.0),
+            # ``x.sum(axis)`` without the method's Python wrapper: the same reduction.
+            "_sum": np.add.reduce,
         }
 
         def fill(text, node, **fields):
             return text.format(*(f"v{i}" for i in node.inputs), **fields)
 
-        grad_lines, results = [], []
+        # Multiplying or dividing by 1.0 gives its operand's bits, so a
+        # backward statement drops a factor that is the constant 1.0 (a unit
+        # scale, say): two fewer array passes per such density term.
+        unit = {f"v{node.index}" for node in nodes
+                if node.op == "constant" and node.shape == () and node.attrs["value"] == 1.0}
+
+        def fill_backward(text, node, **fields):
+            return _FACTOR.sub(lambda m: "" if m[1] in unit else m[0], fill(text, node, **fields))
+
+        grad_lines = []
         if grad:
             readers = {node.index: (op, contribs) for node, op, contribs in backward}
 
@@ -702,18 +754,18 @@ class Graph:
 
                 return op.full_terms or op.elementwise and all(full_term(i, text) for _, i, text in contribs)
 
-            grad_lines.append(f"g{targets[0]} = _np.ones((), dtype=_np.float64)")
+            grad_lines.append(f"g{targets[0]} = _one")
             assigned = set()
             for node, op, contribs in backward:
                 idx = node.index
                 fields = {"g": f"g{idx}", "y": f"v{idx}", "t": f"t{idx}_"}
-                grad_lines.extend(fill(text, node, **fields) for text in op.pre)
+                grad_lines.extend(fill_backward(text, node, **fields) for text in op.pre)
                 for k, i, text in contribs:
-                    term = fill(text, node, **fields)
+                    term = fill_backward(text, node, **fields)
                     if op.elementwise and nodes[i].shape == () and node.shape != ():
-                        term = f"({term}).sum()"
+                        term = f"_sum({term}, None)"
                     elif op.rows_of_input0 and k and len(nodes[node.inputs[0]].shape) == 2:
-                        term = f"({term}).sum(axis=0)"
+                        term = f"_sum({term}, 0)"
                     elif op.sums and nodes[i].shape != () and not full_shaped(i):
                         term = f"_np.broadcast_to({term}, {shape_of(i)})"
                     if i in assigned:
@@ -721,52 +773,48 @@ class Graph:
                     else:
                         grad_lines.append(f"g{i} = {term}")
                     assigned.add(i)
-            # np.array copies, so a returned gradient never shares memory with
-            # another's, a forward value or a read-only broadcast view.
-            for k, name in enumerate(names):
+            # Writing into a new vector copies, so the result never shares
+            # memory with a forward value or a read-only broadcast view.
+            start = 0
+            for name in names:
                 idx = self._variables[name]
-                ns[f"_w{k}"] = name
-                value = (f"_np.array(g{idx}, dtype=_np.float64)" if has_adjoint[idx]
-                         else f"_np.zeros({nodes[idx].shape!r}, dtype=_np.float64)")
-                results.append(f"_w{k}: {value}")
+                stop = start + math.prod(nodes[idx].shape)
+                if has_adjoint[idx] and nodes[idx].shape == ():
+                    grad_lines.append(f"_out[{start}] = g{idx}")
+                elif has_adjoint[idx]:
+                    grad_lines.append(f"_out[{start}:{stop}] = g{idx}.reshape(-1)")
+                start = stop
+            grad_lines.insert(0, f"_out = _np.zeros({start})")
+            result = "_out"
         else:
-            for k, (name, idx) in enumerate(zip(names, targets)):
-                ns[f"_o{k}"] = name
-                results.append(f"_o{k}: v{idx}" + ("" if nodes[idx].inputs else ".copy()"))
+            # A leaf's own value is copied, and a rank-0 one made an array.
+            result = "(" + "".join(f"_np.asarray(v{idx}), " if nodes[idx].inputs else f"_np.array(v{idx}), "
+                                   for idx in targets) + ")"
 
-        lines = []
         for node in nodes:
-            idx = node.index
-            if not feeds[idx]:
-                continue
-            if node.op == "constant":
-                ns[f"v{idx}"] = node.attrs["value"]
-            elif not node.inputs:
-                ns[f"_n{idx}"], ns[f"_node{idx}"] = node.attrs["name"], node
-                lines += [f"if _n{idx} not in bindings:",
-                          f"    raise _MissingFeed('no binding supplied for leaf ' + repr(_n{idx}))",
-                          f"v{idx} = _conform(bindings[_n{idx}], _node{idx})"]
-        lines += [f"v{node.index} = " + fill(_OPS[node.op].forward, node)
-                  for node in nodes if keep[node.index] and node.inputs]
+            if feeds[node.index] and node.op == "constant":
+                ns[f"v{node.index}"] = node.attrs["value"][()]  # rank-0 as a scalar
+        leaves = tuple(node for node in nodes if feeds[node.index] and node.op in ("variable", "placeholder"))
+        lines = [f"v{node.index} = " + fill(_OPS[node.op].forward, node)
+                 for node in nodes if keep[node.index] and node.inputs]
         lines += grad_lines
-        lines.append("return {" + ", ".join(results) + "}")
-        source = "def plan(bindings):\n" + "".join(f"    {line}\n" for line in lines)
+        lines.append(f"return {result}")
+        params = ", ".join(f"v{node.index}" for node in leaves)
+        source = f"def plan({params}):\n" + "".join(f"    {line}\n" for line in lines)
         exec(compile(source, "<gradmc plan>", "exec"), ns)
-        return ns["plan"]
+        return leaves, ns["plan"]
 
     @staticmethod
-    def _conform(raw, node) -> np.ndarray:
-        arr = as_tensor(raw)
-        declared = node.shape
-        if arr.shape == declared or _dims_compatible(declared, arr.shape):
-            return arr
-        # Column placeholders accept vectors: (n,) feeds a declared (n, 1).
-        if (
-            len(declared) == arr.ndim + 1
-            and declared[-1] == 1
-            and _dims_compatible(declared[:-1], arr.shape)
-        ):
-            return arr.reshape(arr.shape + (1,))
-        raise ShapeError(
-            f"binding for {node.attrs['name']!r} has shape {arr.shape}, expected {declared}"
-        )
+    def _conformed_shape(leaf: Node, shape: tuple) -> tuple:
+        """The shape a binding of ``shape`` takes as ``leaf``, or ShapeError.
+
+        A binding keeps its shape where it matches the declared one, open
+        axes matching any extent; a vector (n,) feeds a declared column
+        (n, 1) as that column.
+        """
+        declared = leaf.shape
+        if _dims_compatible(declared, shape):
+            return shape
+        if len(declared) == len(shape) + 1 and declared[-1] == 1 and _dims_compatible(declared[:-1], shape):
+            return shape + (1,)
+        raise ShapeError(f"binding for {leaf.attrs['name']!r} has shape {shape}, expected {declared}")

@@ -256,14 +256,21 @@ def _gen_bayes_nn(n, rng: Rng, n_test: int, input_dim: int, hidden: int, classes
         "a": rng.standard_normal((classes,)) * 0.5,
     }
 
-    def softmax(z):
-        shifted = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+    def softmax_(z):  # in place, the same bits as out of place
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        return z
 
-    probs = softmax(softmax(x @ true["B"] + true["b"]) @ true["A"] + true["a"])
+    # In place, so the peak is the data plus one (total, hidden) matrix.
+    hidden = x @ true["B"]
+    hidden += true["b"]
+    probs = softmax_(hidden) @ true["A"]
+    del hidden
+    probs += true["a"]
+    cumulative = np.cumsum(softmax_(probs), axis=1, out=probs)
     u = rng.uniform((total,))
-    y = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).astype(np.float64)
+    y = (cumulative < u[:, None]).sum(axis=1, dtype=np.float64)
     x.flags.writeable = y.flags.writeable = False
     return GeneratedData(
         train=Dataset._adopt({"X": x[:n], "y": y[:n]}),

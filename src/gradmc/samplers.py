@@ -13,7 +13,9 @@ removes most of the minibatch noise near the mode.
 A chain keeps its parameters (and momenta) in one contiguous float64 vector,
 laid out by ``Model.flatten`` in sorted name order, so each update is a few
 whole-vector operations with one noise draw over the whole vector.  That draw
-is bit-identical to one draw per parameter in sorted name order.
+is bit-identical to one draw per parameter in sorted name order.  The chain
+binds its gradient plan once over that vector, and gets one flat gradient
+per minibatch, bit for bit :func:`estimate_gradient` (or :func:`cv_gradient`).
 
 Randomness is consumed in a fixed, documented order - minibatch indices from
 one spawned substream, injected noise from another - so chains are
@@ -31,7 +33,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .data import Dataset, Minibatch, Rng, resolve_minibatch_size, sample_minibatch, standard_normal
-from .errors import ConfigError, LifecycleError, NumericalDivergence, ShapeError
+from .errors import ConfigError, LifecycleError, MissingFeed, NumericalDivergence, ShapeError
 from .graph import Graph, GraphBuilder, NodeRef, as_tensor
 
 __all__ = [
@@ -118,8 +120,6 @@ class Model:
             stop = start + math.prod(self.param_shapes[name])
             self._layout[name] = (slice(start, stop), self.param_shapes[name])
             start = stop
-        self._mode_names = {name: _MODE + name for name in self.param_names}
-        self._pair_wrt = self.param_names + tuple(self._mode_names.values())
         self.data_names = tuple(
             name for name in self.graph.placeholders if name != _SCALE
         )
@@ -151,12 +151,6 @@ class Model:
         """Each parameter's view into a flat vector, or into every row of a stack of them."""
         lead = flat.shape[:-1]
         return {name: flat[..., part].reshape(lead + shape) for name, (part, shape) in self._layout.items()}
-
-    def log_posterior_value(self, params, data_bindings, scale=1.0) -> float:
-        return float(self.eval_output("objective", {**params, _SCALE: scale}, data_bindings))
-
-    def log_lik_value(self, params, data_bindings) -> float:
-        return float(self.eval_output("log_lik", params, data_bindings))
 
     def eval_output(self, name, params, data_bindings=None) -> np.ndarray:
         bindings = dict(data_bindings or {})
@@ -240,13 +234,16 @@ class ChainState:
     update's injected noise (sqrt of eps for sgld, of 2*friction*eps for
     sghmc, of 2*diffusion*eps for sgnht), and ``minibatch_count`` is the
     minibatch size in rows.  It does not validate them; ``SamplerHandle``
-    does.  Minibatch indices and injected noise come from two separate
-    streams (spawned from the chain's root stream) so noise sequences stay
-    aligned across runs that differ only in minibatch layout.
+    does.  ``gradient`` maps a minibatch's rows to the flat gradient
+    estimate at ``theta`` (recentred by ``cv`` if given).  Minibatch indices
+    and injected noise come from two separate streams (spawned from the
+    chain's root stream) so noise sequences stay aligned across runs that
+    differ only in minibatch layout.
     """
 
     def __init__(self, model: Model, dataset: Dataset, config: SamplerConfig, params,
-                 rng_batch: Rng, rng_noise: Rng, momenta=None, thermostats=None):
+                 rng_batch: Rng, rng_noise: Rng, momenta=None, thermostats=None,
+                 cv: ControlVariateState | None = None):
         family = config.algorithm.removesuffix("cv")
         self.theta = model.flatten(params)
         self.params = model.views(self.theta)
@@ -267,6 +264,7 @@ class ChainState:
         rate = {"sghmc": 2.0 * config.friction, "sgnht": 2.0 * config.diffusion}.get(family)
         self.noise_scale = np.sqrt(self.eps if rate is None else rate * self.eps)
         self.minibatch_count = resolve_minibatch_size(config.minibatch_size, dataset.n)
+        self.gradient = _bind_gradient(model, dataset, self.minibatch_count, self.theta, cv)
 
 
 @dataclass(frozen=True)
@@ -307,14 +305,52 @@ def cv_gradient(
     """
     bindings = dict(minibatch.views)
     bindings.update(params)
-    for name, copy_name in model._mode_names.items():
-        bindings[copy_name] = cv.mode_params[name]
+    bindings.update((_MODE + name, value) for name, value in cv.mode_params.items())
     bindings[_SCALE] = n_total / minibatch.size
-    grads = model.graph.grad(_PAIR, model._pair_wrt, bindings)
-    return {
-        name: cv.full_grad[name] + (grads[name] - grads[copy_name])
-        for name, copy_name in model._mode_names.items()
-    }
+    grads = model.graph.grad(_PAIR, _pair_wrt(model), bindings)
+    return {name: cv.full_grad[name] + (grads[name] - grads[_MODE + name]) for name in model.param_names}
+
+
+def _pair_wrt(model: Model) -> tuple:
+    """The pair objective's variables: the parameters, then their mode copies."""
+    return model.param_names + tuple(_MODE + name for name in model.param_names)
+
+
+def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray,
+                   cv: ControlVariateState | None = None) -> Callable[[Mapping], np.ndarray]:
+    """The flat gradient estimate at ``theta`` as a function of an n-row minibatch's rows.
+
+    Bit for bit ``estimate_gradient``, or ``cv_gradient`` given ``cv``.  A
+    call reads each rank-0 parameter from ``theta`` as a numpy scalar; every
+    other parameter is a view of ``theta``, and the mode and the scale N/n
+    are constants.  The data's shapes are checked here, once.
+    """
+    names = model.param_names
+    objective, wrt = ("objective", names) if cv is None else (_PAIR, _pair_wrt(model))
+    leaves, body = model.graph._grad_plan(objective, wrt)
+    fixed = {**model.views(theta), _SCALE: np.asarray(dataset.n / n)}
+    if cv is not None:
+        fixed.update((_MODE + name, value) for name, value in model.views(model.flatten(cv.mode_params)).items())
+    ns = {"_body": body, "_theta": theta, "_full": None if cv is None else model.flatten(cv.full_grad)}
+    args = []
+    for k, leaf in enumerate(leaves):
+        name = leaf.attrs["name"]
+        if name in model.param_shapes and leaf.shape == ():
+            args.append(f"_theta[{model._layout[name][0].start}]")
+        elif name in fixed:
+            ns[f"_a{k}"] = fixed[name][()]  # rank-0 as a numpy scalar
+            args.append(f"_a{k}")
+        elif name not in dataset:
+            raise MissingFeed(f"no binding supplied for leaf {name!r}")
+        else:
+            rows = (n,) + dataset[name].shape[1:]
+            shape = model.graph._conformed_shape(leaf, rows)
+            ns[f"_a{k}"], ns[f"_s{k}"] = name, shape
+            args.append(f"rows[_a{k}]" + ("" if shape == rows else f".reshape(_s{k})"))
+    result = "g" if cv is None else f"_full + (g[:{theta.size}] - g[{theta.size}:])"
+    source = f"def gradient(rows):\n    g = _body({', '.join(args)})\n    return {result}\n"
+    exec(compile(source, "<gradmc bound gradient>", "exec"), ns)
+    return ns["gradient"]
 
 
 def full_log_posterior_grad(
@@ -350,9 +386,11 @@ def full_log_posterior_grad(
 def _check_finite(model: Model, flat: np.ndarray, iteration: int, what: str) -> None:
     """Raise NumericalDivergence naming the first non-finite parameter in sorted name order.
 
-    The common all-finite case costs one reduction over the whole vector.
+    The common all-finite case costs one elementwise test and one count over
+    the whole vector; ``count_nonzero`` skips the Python wrapper of
+    ``ndarray.all``, which dominates the check of a small vector.
     """
-    if np.isfinite(flat).all():
+    if np.count_nonzero(np.isfinite(flat)) == flat.size:
         return
     name = next(name for name, part in model.views(flat).items() if not np.isfinite(part).all())
     raise NumericalDivergence(
@@ -362,14 +400,10 @@ def _check_finite(model: Model, flat: np.ndarray, iteration: int, what: str) -> 
     )
 
 
-def _draw_gradient(state: ChainState, model, dataset, cv) -> np.ndarray:
+def _draw_gradient(state: ChainState, model, dataset) -> np.ndarray:
     minibatch = sample_minibatch(dataset, state.minibatch_count, state.rng_batch)
-    if cv is None:
-        grad = estimate_gradient(model, state.params, minibatch, dataset.n)
-    else:
-        grad = cv_gradient(model, state.params, cv, minibatch, dataset.n)
+    grad = state.gradient(minibatch.views)
     state.grad_evals += 1
-    grad = model.flatten(grad)
     _check_finite(model, grad, state.iteration, "gradient")
     return grad
 
@@ -378,11 +412,10 @@ def _draw_gradient(state: ChainState, model, dataset, cv) -> np.ndarray:
 # in place, so the named views follow.  Each formula runs in the order of the
 # scalar one, so every element gets the bits the scalar formula gives it.
 
-def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig,
-              cv: ControlVariateState | None = None) -> ChainState:
+def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
     """One overdamped Langevin update: half a gradient step plus N(0, eps) noise."""
     eps = state.eps
-    grad = _draw_gradient(state, model, dataset, cv)
+    grad = _draw_gradient(state, model, dataset)
     noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
     state.theta[...] = state.theta + 0.5 * eps * grad + noise
     _check_finite(model, state.theta, state.iteration, "parameter")
@@ -390,8 +423,7 @@ def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: Sampler
     return state
 
 
-def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig,
-               cv: ControlVariateState | None = None) -> ChainState:
+def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
     """One stored sghmc update: resample momenta, then run the inner trajectory.
 
     Each of the ``trajectory_length`` inner updates moves the parameters by the
@@ -403,7 +435,7 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     state.momentum[...] = standard_normal(state.rng_noise, eps.shape) * np.sqrt(eps)
     for _ in range(config.trajectory_length):
         state.theta += state.momentum
-        grad = _draw_gradient(state, model, dataset, cv)
+        grad = _draw_gradient(state, model, dataset)
         noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
         state.momentum[...] = (1.0 - alpha) * state.momentum + eps * grad + noise
     _check_finite(model, state.theta, state.iteration, "parameter")
@@ -411,8 +443,7 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     return state
 
 
-def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig,
-               cv: ControlVariateState | None = None) -> ChainState:
+def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
     """One thermostat update.
 
     After the momentum refresh, each parameter's thermostat moves by the gap
@@ -421,7 +452,7 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     """
     eps = state.eps
     state.theta += state.momentum
-    grad = _draw_gradient(state, model, dataset, cv)
+    grad = _draw_gradient(state, model, dataset)
     noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
     # Each parameter's thermostat spread over its segment of the momentum.
     decay = np.empty_like(eps)
@@ -436,6 +467,7 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
 
 
 # Kernel per family; a control-variate algorithm is its family plus "cv".
+# ``SamplerHandle.init`` picks one per chain.
 _KERNELS = {"sgld": sgld_step, "sghmc": sghmc_step, "sgnht": sgnht_step}
 
 
@@ -454,15 +486,14 @@ def find_mode(
     final iterate as the posterior-mode estimate.
     """
     theta = model.flatten(model.check_params(initial_params))
-    params = model.views(theta)
     n = resolve_minibatch_size(minibatch_size, dataset.n)
+    gradient = _bind_gradient(model, dataset, n, theta)
     for t in range(opt_iters):
-        minibatch = sample_minibatch(dataset, n, rng)
-        grad = model.flatten(estimate_gradient(model, params, minibatch, dataset.n))
+        grad = gradient(sample_minibatch(dataset, n, rng).views)
         _check_finite(model, grad, t, "optimizer gradient")
         theta += opt_stepsize * grad
         _check_finite(model, theta, t, "optimizer parameter")
-    return params
+    return model.views(theta)
 
 
 class SamplerHandle:
@@ -496,7 +527,8 @@ class SamplerHandle:
         search and the full-data gradient pass, and starts the chain there.
 
         Building the ``ChainState`` resolves the stepsizes and the minibatch
-        count from the config, once per chain."""
+        count from the config and binds the gradient, once per chain; the
+        kernel is picked here too."""
         config = self.config
         # The (batch, noise) pair is spawned once per handle and every init()
         # restarts fresh copies of it, so a re-initialised chain repeats itself.
@@ -511,9 +543,11 @@ class SamplerHandle:
             full = full_log_posterior_grad(self.model, self.dataset, mode)
             self.cv = ControlVariateState(mode_params=mode, full_grad=full)
             start = mode
-        state = ChainState(self.model, self.dataset, config, start, rng_batch, rng_noise)
-        if config.algorithm.removesuffix("cv") == "sgnht":
+        state = ChainState(self.model, self.dataset, config, start, rng_batch, rng_noise, cv=self.cv)
+        family = config.algorithm.removesuffix("cv")
+        if family == "sgnht":
             state.momentum[...] = standard_normal(rng_noise, state.eps.shape) * np.sqrt(state.eps)
+        self._kernel = _KERNELS[family]
         self.state = state
         return self
 
@@ -521,9 +555,7 @@ class SamplerHandle:
         """Advance the chain by exactly one stored kernel update."""
         if self.state is None:
             raise LifecycleError("sampler stepped before init()")
-        _KERNELS[self.config.algorithm.removesuffix("cv")](
-            self.state, self.model, self.dataset, self.config, cv=self.cv
-        )
+        self._kernel(self.state, self.model, self.dataset, self.config)
 
     def get_params(self) -> dict[str, np.ndarray]:
         """Copy of the current parameters, detached from the chain."""

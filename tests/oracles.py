@@ -3,13 +3,106 @@
 Nothing here touches the package's gradient or sampler code paths: gradients
 come from central finite differences of forward evaluations, and the mixture
 reference chain is a standalone numpy implementation with its own hand-derived
-gradient.  ``traced_peak`` measures memory with the standard library's
+gradient.  ``log_density_value`` calls the package's density kernels
+directly, outside any graph, and checks their parameters;
+``log_posterior_value`` and ``log_lik_value`` evaluate a model's graph
+forward.  ``traced_peak`` measures memory with the standard library's
 tracemalloc, for the tests that hold the package to a memory budget.
 """
 
 import tracemalloc
 
 import numpy as np
+
+from gradmc import DomainError
+from gradmc.densities import (
+    categorical_logpdf,
+    gamma_logpdf,
+    laplace_logpdf,
+    mvnormal_diag_logpdf,
+    normal_logpdf,
+)
+from gradmc.samplers import _SCALE
+
+
+def log_posterior_value(model, params, data_bindings, scale=1.0) -> float:
+    """A model's log prior plus ``scale`` times its log likelihood, by graph eval."""
+    return float(model.eval_output("objective", {**params, _SCALE: scale}, data_bindings))
+
+
+def log_lik_value(model, params, data_bindings) -> float:
+    return float(model.eval_output("log_lik", params, data_bindings))
+
+
+def mixture2_logpdf(x, loc1, loc2, scale1, scale2, w1, w2):
+    """Per-row log density of a two-component diagonal-normal mixture."""
+    c1 = mvnormal_diag_logpdf(x, loc1, scale1)
+    c2 = mvnormal_diag_logpdf(x, loc2, scale2)
+    with np.errstate(divide="ignore"):
+        lw1 = np.log(w1)
+        lw2 = np.log(w2)
+    return np.logaddexp(lw1 + c1, lw2 + c2)
+
+
+def _require(cond, message):
+    if not cond:
+        raise DomainError(message)
+
+
+def log_density_value(kind, x, **params):
+    """Direct (non-graph) log-density evaluation.
+
+    Returns exactly the numbers the matching graph node produces on the same
+    inputs.  Family parameters are validated here; invalid ones raise
+    DomainError.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if kind == "normal":
+        sd = float(params["sd"])
+        _require(sd > 0.0, "normal sd must be positive")
+        return normal_logpdf(x, float(params["mean"]), sd)
+    if kind == "mvnormal_diag":
+        loc = np.asarray(params["loc"], dtype=np.float64)
+        scale = np.asarray(params["scale"], dtype=np.float64)
+        _require(np.all(scale > 0.0), "mvnormal_diag scales must be positive")
+        return mvnormal_diag_logpdf(x, loc, scale)
+    if kind == "laplace":
+        scale = float(params["scale"])
+        _require(scale > 0.0, "laplace scale must be positive")
+        return laplace_logpdf(x, float(params["loc"]), scale)
+    if kind == "gamma":
+        shape = float(params["shape"])
+        rate = float(params["rate"])
+        _require(shape > 0.0, "gamma shape must be positive")
+        _require(rate > 0.0, "gamma rate must be positive")
+        return gamma_logpdf(x, shape, rate)
+    if kind == "categorical":
+        probs = np.asarray(params["probs"], dtype=np.float64)
+        if probs.ndim == 1:
+            probs = np.broadcast_to(probs, (np.asarray(x).size, probs.size))
+        _require(np.all(probs >= 0.0), "categorical probabilities must be non-negative")
+        _require(
+            np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9),
+            "categorical probability rows must sum to 1",
+        )
+        labels = np.atleast_1d(np.asarray(x))
+        return categorical_logpdf(probs, labels)
+    if kind == "mixture2":
+        w1, w2 = (float(w) for w in params["weights"])
+        _require(w1 >= 0.0 and w2 >= 0.0, "mixture weights must be non-negative")
+        _require(abs(w1 + w2 - 1.0) <= 1e-12, "mixture weights must sum to 1")
+        loc1 = np.asarray(params["loc1"], dtype=np.float64)
+        loc2 = np.asarray(params["loc2"], dtype=np.float64)
+        scale1 = np.asarray(params.get("scale1", np.ones_like(loc1)), dtype=np.float64)
+        scale2 = np.asarray(params.get("scale2", np.ones_like(loc2)), dtype=np.float64)
+        _require(
+            np.all(scale1 > 0.0) and np.all(scale2 > 0.0),
+            "mixture scales must be positive",
+        )
+        x2 = np.atleast_2d(x)
+        out = mixture2_logpdf(x2, loc1, loc2, scale1, scale2, w1, w2)
+        return out[0] if np.asarray(x).ndim == 1 else out
+    raise DomainError(f"unknown log-density kind {kind!r}")
 
 
 def finite_diff_grad(f, params, h=1e-5):

@@ -16,7 +16,6 @@ from gradmc import (
     log_loss_binary,
     log_loss_multiclass,
     moment_match,
-    running_mean,
 )
 
 
@@ -186,33 +185,35 @@ def test_diag_gaussian_requires_positive_variance():
 # -- running mean -------------------------------------------------------------------------
 
 def test_running_mean_two_values():
-    x0, x1 = np.asarray(3.0), np.asarray(5.0)
-    state = (x0, 1)
-    mean, count = running_mean(state, x1)
-    assert count == 2
+    hook = RunningMean()
+    hook({"v": np.asarray(3.0)})
+    mean = hook({"v": np.asarray(5.0)})["v"]
+    assert hook.count == 2
     assert float(mean) == 4.0
 
 
 def test_running_mean_constant_inputs():
-    state = (np.full(3, 7.0), 1)
-    for _ in range(50):
-        state = running_mean(state, np.full(3, 7.0))
-    np.testing.assert_array_equal(state[0], np.full(3, 7.0))
+    hook = RunningMean()
+    for _ in range(51):
+        mean = hook({"v": np.full(3, 7.0)})["v"]
+    np.testing.assert_array_equal(mean, np.full(3, 7.0))
 
 
 def test_running_mean_matches_batch_mean():
     rng = Rng(11)
     values = rng.standard_normal((1000, 4))
-    state = (values[0].copy(), 1)
-    for row in values[1:]:
-        state = running_mean(state, row)
+    hook = RunningMean()
+    for row in values:
+        mean = hook({"v": row})["v"]
     batch = values.mean(axis=0)
-    assert np.all(np.abs(state[0] - batch) <= 1e-10 * np.maximum(1.0, np.abs(batch)))
+    assert np.all(np.abs(mean - batch) <= 1e-10 * np.maximum(1.0, np.abs(batch)))
 
 
 def test_running_mean_shape_mismatch():
+    hook = RunningMean()
+    hook({"v": np.zeros(2)})
     with pytest.raises(ShapeError):
-        running_mean((np.zeros(2), 1), np.zeros(3))
+        hook({"v": np.zeros(3)})
 
 
 def test_running_mean_hook_over_param_maps():

@@ -686,6 +686,30 @@ def test_returned_gradients_are_owned_writeable_arrays(name):
         np.testing.assert_array_equal(again[n], np.ones(shapes[n]))
 
 
+
+def test_eval_and_grad_return_arrays_for_rank0_values():
+    # Plan bodies compute rank-0 values as numpy scalars; what eval and grad
+    # hand back is still an array of its own, rank-0 ones included.
+    b = GraphBuilder()
+    t = b.variable("t", ())
+    x = b.placeholder("x", (None,))
+    total = b.reduce_sum(x * t) + t * t
+    graph = b.build({"out": total, "t": t, "x": x, "two": b.constant(2.0)})
+    bindings = {"t": 0.5, "x": [1.0, 2.0]}
+    values = graph.eval(bindings)
+    for name, value in values.items():
+        assert type(value) is np.ndarray and value.dtype == np.float64, name
+    assert values["out"].shape == values["t"].shape == values["two"].shape == ()
+    assert values["out"] == 1.75 and values["t"] == 0.5 and values["two"] == 2.0
+    grads = graph.grad("out", ["t"], bindings)
+    assert type(grads["t"]) is np.ndarray and grads["t"].shape == () and grads["t"] == 4.0
+    for family in sorted(FAMILIES):
+        model = FAMILIES[family].build()
+        params = FAMILIES[family].init_params(model, Rng(1))
+        prior = model.eval_output("log_prior", params)
+        assert type(prior) is np.ndarray and prior.shape == (), family
+
+
 def test_leaf_names_reach_plans_as_data():
     name = 'x"); import os; ("'
     b = GraphBuilder()

@@ -18,11 +18,17 @@ from gradmc import (
     estimate_gradient,
     gaussian_posterior,
     gen_synth,
-    log_density_value,
     nn_forward,
 )
 from gradmc.models import FAMILIES, MIXTURE_LOCS
-from oracles import assert_grad_close, finite_diff_grad, traced_peak
+from oracles import (
+    assert_grad_close,
+    finite_diff_grad,
+    log_density_value,
+    log_lik_value,
+    log_posterior_value,
+    traced_peak,
+)
 
 
 def full_minibatch(dataset):
@@ -34,7 +40,7 @@ def log_posterior_fn(model, dataset):
     bindings = {name: dataset[name] for name in model.data_names}
 
     def f(params):
-        return model.log_posterior_value(params, bindings, scale=1.0)
+        return log_posterior_value(model, params, bindings, scale=1.0)
 
     return f
 
@@ -75,7 +81,7 @@ def test_mixture_collapses_to_single_gaussian():
     model = build_gaussian_mixture()
     x = Rng(5).standard_normal((40, 2))
     loc = np.array([0.3, -0.2])
-    loglik = model.log_lik_value({"theta1": loc, "theta2": loc}, {"x": x})
+    loglik = log_lik_value(model, {"theta1": loc, "theta2": loc}, {"x": x})
     single = float(np.sum(log_density_value("mvnormal_diag", x, loc=loc, scale=[1.0, 1.0])))
     assert loglik == pytest.approx(single, rel=1e-12)
 
@@ -86,8 +92,8 @@ def test_mixture_log_posterior_symmetric_under_relabeling():
     x = rng.standard_normal((30, 2))
     t1 = rng.standard_normal((2,))
     t2 = rng.standard_normal((2,))
-    a = model.log_posterior_value({"theta1": t1, "theta2": t2}, {"x": x})
-    b = model.log_posterior_value({"theta1": t2, "theta2": t1}, {"x": x})
+    a = log_posterior_value(model, {"theta1": t1, "theta2": t2}, {"x": x})
+    b = log_posterior_value(model, {"theta1": t2, "theta2": t1}, {"x": x})
     assert a == b
 
 
@@ -110,7 +116,7 @@ def test_logistic_loglik_at_zero_coefficients():
     n = 64
     x = rng.uniform((n, d))
     y = (rng.uniform((n,)) < 0.5).astype(float)
-    loglik = model.log_lik_value({"bias": 0.0, "beta": np.zeros((d, 1))}, {"X": x, "y": y})
+    loglik = log_lik_value(model, {"bias": 0.0, "beta": np.zeros((d, 1))}, {"X": x, "y": y})
     assert loglik == pytest.approx(-n * math.log(2.0), rel=1e-12)
 
 
@@ -210,10 +216,10 @@ def test_loglik_adds_over_any_partition(family):
     data = gen_synth(family, 30, Rng(16), n_test=2, **hyper).train
     params = spec.init_params(model, Rng(17))
     bindings = {name: data[name] for name in model.data_names}
-    whole = model.log_lik_value(params, bindings)
+    whole = log_lik_value(model, params, bindings)
     cut = 11
-    first = model.log_lik_value(params, {k: v[:cut] for k, v in bindings.items()})
-    second = model.log_lik_value(params, {k: v[cut:] for k, v in bindings.items()})
+    first = log_lik_value(model, params, {k: v[:cut] for k, v in bindings.items()})
+    second = log_lik_value(model, params, {k: v[cut:] for k, v in bindings.items()})
     assert whole == pytest.approx(first + second, rel=1e-12, abs=1e-12)
 
 
@@ -305,6 +311,16 @@ def test_mixture_generation_peak_stays_near_its_data():
     data = gen_synth("gaussian_mixture", 200_000, Rng(1))
     data_bytes = data.train["x"].nbytes + data.test["x"].nbytes
     assert traced_peak(lambda: gen_synth("gaussian_mixture", 200_000, Rng(1))) <= 2.2 * data_bytes
+
+
+
+def test_nn_generation_peak_stays_near_its_data():
+    # The two softmaxes, the bias adds and the labels' cumulative sum run in
+    # place, and the hidden layer is freed once the output layer exists: at
+    # the peak, the data and one (total, hidden) matrix.
+    data = gen_synth("bayes_nn", 200_000, Rng(1))
+    data_bytes = sum(arr.nbytes for split in (data.train, data.test) for arr in split.entries.values())
+    assert traced_peak(lambda: gen_synth("bayes_nn", 200_000, Rng(1))) <= 1.7 * data_bytes
 
 
 def test_nn_generator_labels_in_range():

@@ -178,6 +178,75 @@ def test_sgld_recovers_conjugate_posterior_mean():
     assert abs(chain.mean() - analytic) <= 3.0 * se
 
 
+# -- exact stationary laws ------------------------------------------------------------------
+#
+# On the gaussian family the minibatch gradient is -P theta + (N/n) S, with
+# P = N + 1/prior_variance and S the sum of the minibatch's x.  S does not
+# depend on theta; drawn without replacement it has mean n xbar and variance
+# n s2 (N - n) / (N - 1), s2 the ddof=0 variance of x.  So sgld is the AR(1)
+# theta' = a theta + (eps/2)(N/n) S + sqrt(eps) xi with a = 1 - eps P / 2:
+# stationary mean N xbar / P and variance
+# (eps + (eps/2)^2 (N/n)^2 Var S) / (1 - a^2).  sgldcv's control variate
+# cancels S exactly, which leaves the exact-gradient AR(1) with variance
+# eps / (1 - a^2).  These are the chain's exact laws, discretisation bias and
+# minibatch noise included; the bounds below are fixed in units of the exact
+# AR(1) standard errors.
+
+STATIONARY_N, STATIONARY_BATCH, STATIONARY_EPS, STATIONARY_PRIOR = 1000, 100, 1e-3, 10.0
+STATIONARY_BURNIN, STATIONARY_KEPT = 200, 60_000
+STATIONARY_BOUND = 4.0  # standard errors, for the mean and for the variance
+
+
+def _ar1_mean_se(variance, a, t):
+    """Exact standard error of the mean of t consecutive draws of a stationary AR(1)."""
+    lags = (1.0 + a) / (1.0 - a) - 2.0 * a * (1.0 - a ** t) / (t * (1.0 - a) ** 2)
+    return math.sqrt(variance * lags / t)
+
+
+def _ar1_variance_se(variance, a, t):
+    """Standard error of the sample variance of t draws of a Gaussian AR(1), to first order in 1/t."""
+    return variance * math.sqrt(2.0 * (1.0 + a * a) / (t * (1.0 - a * a)))
+
+
+def stationary_law_gaps(algorithm, seed):
+    """(mean gap, variance gap, variance gap under with-replacement minibatches),
+    each in standard errors, of one gaussian sgld or sgldcv chain against its exact law."""
+    n_data, n, eps = STATIONARY_N, STATIONARY_BATCH, STATIONARY_EPS
+    x = Rng(seed).standard_normal((n_data,))
+    precision = n_data + 1.0 / STATIONARY_PRIOR
+    mean = x.sum() / precision
+    a = 1.0 - eps * precision / 2.0
+    var_s = n * x.var() * (n_data - n) / (n_data - 1)
+    innovation = {"sgld": eps + (eps / 2.0) ** 2 * (n_data / n) ** 2 * var_s, "sgldcv": eps}[algorithm]
+    with_replacement = eps + (eps / 2.0) ** 2 * (n_data / n) ** 2 * n * x.var()
+    config = SamplerConfig(algorithm=algorithm, stepsize=eps, minibatch_size=n, seed=seed + 1,
+                           n_iters=STATIONARY_BURNIN + STATIONARY_KEPT, opt_stepsize=eps / 2.0, opt_iters=200)
+    chain = run_chain(build_gaussian(STATIONARY_PRIOR), Dataset({"x": x}), {"theta": mean},
+                      config).samples["theta"][STATIONARY_BURNIN:]
+    variance = innovation / (1.0 - a * a)
+    var_se = _ar1_variance_se(variance, a, chain.size)
+    return (
+        (chain.mean() - mean) / _ar1_mean_se(variance, a, chain.size),
+        (chain.var() - variance) / var_se,
+        (chain.var() - with_replacement / (1.0 - a * a)) / var_se,
+    )
+
+
+def test_sgld_matches_its_exact_stationary_law():
+    mean_gap, var_gap, with_replacement_gap = stationary_law_gaps("sgld", seed=0)
+    assert abs(mean_gap) <= STATIONARY_BOUND, mean_gap
+    assert abs(var_gap) <= STATIONARY_BOUND, var_gap
+    # The without-replacement factor (N - n)/(N - 1) is resolved: the
+    # variance with-replacement minibatches would give is out of bounds.
+    assert abs(with_replacement_gap) > STATIONARY_BOUND, with_replacement_gap
+
+
+def test_sgldcv_matches_its_exact_stationary_law():
+    mean_gap, var_gap, _ = stationary_law_gaps("sgldcv", seed=0)
+    assert abs(mean_gap) <= STATIONARY_BOUND, mean_gap
+    assert abs(var_gap) <= STATIONARY_BOUND, var_gap
+
+
 # -- sghmc ------------------------------------------------------------------------
 
 def test_sghmc_full_friction_gives_pure_momentum_noise():
@@ -436,6 +505,64 @@ def test_cv_gradient_is_one_grad_call_bit_equal_to_two(family, monkeypatch):
         for name in model.param_names:
             want = cv.full_grad[name] + (halves[0][name] - halves[1][name])
             assert want.shape == got[name].shape and want.tobytes() == got[name].tobytes(), name
+
+
+# -- the chain's bound gradient ----------------------------------------------------------
+
+@pytest.mark.parametrize("cv", [False, True], ids=["plain", "cv"])
+@pytest.mark.parametrize("family", sorted(_FAMILY_NAMES))
+def test_bound_gradient_is_the_public_estimate_bit_for_bit(family, cv):
+    # The chain binds its gradient once over the flat vector; at every point
+    # the kernel walks it to, on every minibatch, it must give the public
+    # estimator's bits.  Logistic regression feeds its (n,) labels to a
+    # declared (n, 1) column; bayes_nn has four rank-0 precisions, read from
+    # the flat vector as numpy scalars.  Each parameter has its own stepsize.
+    spec = FAMILIES[family]
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
+    model = spec.build(**hyper)
+    dataset = gen_synth(family, 60, Rng(8), n_test=2, **hyper).train
+    if family == "logistic_regression":
+        assert dataset["y"].shape == (60,) and model.graph.placeholders["y"] == (None, 1)
+    if family == "bayes_nn":
+        assert [name for name, shape in model.param_shapes.items() if shape == ()] == [
+            "lambda_A", "lambda_B", "lambda_a", "lambda_b"]
+    start = model.check_params(spec.init_params(model, Rng(9)))
+    control = None
+    if cv:
+        mode = {name: value + 0.01 for name, value in start.items()}
+        control = ControlVariateState(mode_params=mode, full_grad=full_log_posterior_grad(model, dataset, mode))
+    stepsize = {name: 1e-4 * (1 + k) for k, name in enumerate(model.param_names)}
+    config = SamplerConfig(algorithm="sgldcv" if cv else "sgld", stepsize=stepsize, minibatch_size=7)
+    state = ChainState(model, dataset, config, start, **_streams(3), cv=control)
+    rng = Rng(4)
+    for _ in range(6):
+        minibatch = sample_minibatch(dataset, 7, rng)
+        if cv:
+            want = cv_gradient(model, state.params, control, minibatch, dataset.n)
+        else:
+            want = estimate_gradient(model, state.params, minibatch, dataset.n)
+        got = state.gradient(minibatch.views)
+        assert got.shape == state.theta.shape and got.tobytes() == model.flatten(want).tobytes()
+        sgld_step(state, model, dataset, config)
+
+
+@pytest.mark.parametrize("algorithm", ["sgld", "sgldcv"])
+@pytest.mark.parametrize("family, entries", [
+    ("gaussian", {"x": np.zeros((30, 2))}),
+    ("logistic_regression", {"X": np.zeros((30, 4)), "y": np.zeros(30)}),
+], ids=["gaussian", "logistic_regression"])
+def test_a_wrong_data_shape_raises_at_init(family, entries, algorithm, monkeypatch):
+    # The shapes are checked when the gradient is bound, before any
+    # minibatch is drawn: for sgldcv that is before the mode search's first step.
+    model = FAMILIES[family].build()
+    init = FAMILIES[family].init_params(model, Rng(1))
+    config = SamplerConfig(algorithm=algorithm, stepsize=1e-3, minibatch_size=5, opt_stepsize=1e-3, opt_iters=5)
+    handle = sampler_setup(model, Dataset(entries), init, config)
+    draws = []
+    monkeypatch.setattr(gradmc.samplers, "sample_minibatch", lambda *args: draws.append(args))
+    with pytest.raises(ShapeError):
+        handle.init()
+    assert draws == []
 
 
 # -- find_mode -----------------------------------------------------------------------

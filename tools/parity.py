@@ -1,0 +1,181 @@
+"""Print SHA-256 digests of gradmc's numerical outputs, for comparing two checkouts bit for bit.
+
+Run it in each checkout and diff the two outputs:
+
+    PYTHONPATH=src python3 tools/parity.py > parity.txt
+
+Every line is a label and a digest.  It covers, per model family:
+
+* 200 minibatch ``estimate_gradient`` and ``cv_gradient`` results, and the
+  unchunked and chunked ``full_log_posterior_grad``;
+* 48 in-process chains: 4 families x 6 algorithms x a scalar and a
+  per-name stepsize, 60 steps each through ``run_chain``;
+* ``gen_synth`` at 20 000 rows with the family's default hyper-parameters;
+* the files ``gradmc gen`` writes, and the CSVs and manifest of
+  ``gradmc run`` over 4 families x 6 algorithms, plus one ``running-mean``
+  run per family (the manifest without its wall clock and data path).
+
+It uses only the public API, so it runs unchanged on older checkouts.  It
+takes a few seconds on one core.  It is not a pytest module.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from gradmc import (
+    ALGORITHMS,
+    FAMILIES,
+    NumericalDivergence,
+    Rng,
+    SamplerConfig,
+    cv_gradient,
+    estimate_gradient,
+    full_log_posterior_grad,
+    gen_synth,
+    run_chain,
+    sample_minibatch,
+)
+from gradmc.cli import main as cli_main
+from gradmc.samplers import ControlVariateState
+
+SMALL = {"bayes_nn": {"input_dim": 5, "hidden": 4, "classes": 3}}
+# gradmc gen flags giving the same small network.
+GEN_FLAGS = {"bayes_nn": ["--d", "5", "--hidden", "4", "--classes", "3"]}
+STEPSIZE = {"gaussian": 2e-4, "gaussian_mixture": 2e-4, "logistic_regression": 1e-4, "bayes_nn": 1e-4}
+
+
+class Digest:
+    def __init__(self):
+        self._hash = hashlib.sha256()
+
+    def add(self, tensors) -> None:
+        """Fold in a name -> array map: each name, shape and float64 bytes, in sorted name order."""
+        for name in sorted(tensors):
+            arr = np.asarray(tensors[name], dtype=np.float64)
+            self._hash.update(f"{name}{arr.shape}".encode())
+            self._hash.update(np.ascontiguousarray(arr).tobytes())
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def family_setup(family: str):
+    spec = FAMILIES[family]
+    hyper = SMALL.get(family, spec.hyper_defaults)
+    model = spec.build(**hyper)
+    train = gen_synth(family, 600, Rng(3), n_test=10, **hyper).train
+    return spec, model, train
+
+
+def gradients(family: str) -> list[str]:
+    spec, model, train = family_setup(family)
+    params = model.check_params(spec.init_params(model, Rng(4)))
+    mode = {name: value + 0.01 for name, value in params.items()}
+    cv = ControlVariateState(mode_params=mode, full_grad=full_log_posterior_grad(model, train, mode))
+    plain, recentred = Digest(), Digest()
+    rng = Rng(5)
+    for _ in range(200):
+        minibatch = sample_minibatch(train, 20, rng)
+        plain.add(estimate_gradient(model, params, minibatch, train.n))
+        recentred.add(cv_gradient(model, params, cv, minibatch, train.n))
+    whole, chunked = Digest(), Digest()
+    whole.add(full_log_posterior_grad(model, train, params))
+    chunked.add(full_log_posterior_grad(model, train, params, chunk_size=70))
+    generated = gen_synth(family, 20_000, Rng(11))
+    data = Digest()
+    data.add({f"{split}.{name}": arr for split in ("train", "test")
+              for name, arr in getattr(generated, split).entries.items()})
+    return [
+        f"gen_synth {family} n=20000 {data.hexdigest()}",
+        f"grad {family} estimate_gradient x200 {plain.hexdigest()}",
+        f"grad {family} cv_gradient x200 {recentred.hexdigest()}",
+        f"grad {family} full_pass {whole.hexdigest()}",
+        f"grad {family} full_pass_chunked {chunked.hexdigest()}",
+    ]
+
+
+def chains(family: str) -> list[str]:
+    spec, model, train = family_setup(family)
+    init = spec.init_params(model, Rng(6))
+    eps = STEPSIZE[family]
+    per_name = {name: eps * (1.0 + 0.25 * k) for k, name in enumerate(model.param_names)}
+    lines = []
+    for algorithm in ALGORITHMS:
+        for label, stepsize in (("scalar", eps), ("per-name", per_name)):
+            config = SamplerConfig(algorithm=algorithm, stepsize=stepsize, minibatch_size=20, n_iters=60,
+                                   seed=7, opt_stepsize=eps, opt_iters=40)
+            digest = Digest()
+            try:
+                out = run_chain(model, train, init, config)
+            except NumericalDivergence as exc:
+                lines.append(f"chain {family} {algorithm} {label} diverged: {exc}")
+                continue
+            digest.add(out.start_params)
+            digest.add(out.samples)
+            digest.add({"momentum": [] if out.final_state.momentum is None else out.final_state.momentum})
+            lines.append(f"chain {family} {algorithm} {label} {digest.hexdigest()}")
+    return lines
+
+
+def file_digest(path: Path) -> str:
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text())
+        for key in ("elapsed_seconds", "data_dir"):
+            manifest.pop(key, None)
+        return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def quiet_cli(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(argv)
+
+
+def cli_runs(family: str, work: Path) -> list[str]:
+    data = work / family
+    argv = ["gen", family, "--n", "400", "--seed", "2", "--out", str(data), *GEN_FLAGS.get(family, [])]
+    assert quiet_cli(argv) == 0, argv
+    lines = [f"gen {family} {path.name} {file_digest(path)}" for path in sorted(data.iterdir())]
+    test_function = "log-loss" if FAMILIES[family].label_kind else "full-chain"
+    for algorithm in ALGORITHMS:
+        out = work / f"{family}-{algorithm}"
+        argv = ["run", "--data", str(data), "--out", str(out), "--algorithm", algorithm,
+                "--stepsize", str(STEPSIZE[family]), "--minibatch-size", "20", "--n-iters", "60",
+                "--seed", "8", "--opt-stepsize", str(STEPSIZE[family]), "--opt-iters", "40",
+                "--thin", "3", "--test-function", test_function]
+        code = quiet_cli(argv)
+        lines.append(f"run {family} {algorithm} exit {code}")
+        lines += [f"run {family} {algorithm} {path.name} {file_digest(path)}"
+                  for path in sorted(out.iterdir())]
+    out = work / f"{family}-running-mean"
+    argv = ["run", "--data", str(data), "--out", str(out), "--algorithm", "sghmc",
+            "--stepsize", str(STEPSIZE[family]), "--minibatch-size", "20", "--n-iters", "60",
+            "--seed", "9", "--thin", "4", "--test-function", "running-mean"]
+    lines.append(f"run {family} running-mean exit {quiet_cli(argv)}")
+    lines += [f"run {family} running-mean {path.name} {file_digest(path)}" for path in sorted(out.iterdir())]
+    return lines
+
+
+def main() -> int:
+    families = sorted(FAMILIES)
+    for family in families:
+        print(*gradients(family), sep="\n")
+    for family in families:
+        print(*chains(family), sep="\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        for family in families:
+            print(*cli_runs(family, Path(tmp)), sep="\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

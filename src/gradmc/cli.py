@@ -22,7 +22,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -240,7 +239,11 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def run_one(rng):
+    # The chains run one after another on this thread: every step holds the
+    # interpreter lock, so threads would not overlap them.  Each chain's
+    # tables are written as soon as it ends, so only its rows are held.
+    files = {}
+    for i, rng in enumerate(chain_rngs):
         # The hook counts iterations and evaluates a table only at the rows it
         # keeps; the running mean is folded on every step.
         rows = {table.stem: {} for table in tables}
@@ -256,16 +259,6 @@ def cmd_run(args) -> int:
             record(next(count), params if fold is None else fold(params))
 
         record(0, run_chain(model, train, init_params, config, hook=hook, rng=rng).start_params)
-        return rows
-
-    if n_chains == 1:
-        outputs = [run_one(chain_rngs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_chains) as pool:
-            outputs = list(pool.map(run_one, chain_rngs))
-
-    files = {}
-    for i, rows in enumerate(outputs):
         suffix = "" if n_chains == 1 else f".{i}"
         for table in tables:
             path = out / f"{table.stem}{suffix}.csv"
@@ -433,7 +426,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run.add_argument("--opt-iters", type=int, help="mode-search iterations (cv)")
     run.add_argument("--test-function", choices=TEST_FUNCTIONS, default="full-chain")
     run.add_argument("--thin", type=int, default=10)
-    run.add_argument("--chains", type=int, default=1, help="independent parallel chains")
+    run.add_argument("--chains", type=int, default=1, help="independent chains, run one after another")
     run.set_defaults(func=cmd_run)
 
     kl = sub.add_parser("kl", help="KL of a gaussian-model chain vs the analytic posterior")

@@ -500,7 +500,8 @@ class SamplerHandle:
     """Step-by-step access to one chain: setup, init, step, read parameters.
 
     Handles are single-owner and strictly sequential; run several handles (with
-    spawned or distinct seeds) for parallel chains.
+    spawned or distinct seeds) for several chains, one after another, as
+    ``gradmc run --chains k`` does.
     """
 
     def __init__(self, model: Model, dataset: Dataset, initial_params, config: SamplerConfig,

@@ -1,16 +1,18 @@
 """End-to-end CLI behaviour: gen / run / kl, file formats, exit codes."""
 
+import copy
 import json
 import math
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import gradmc.cli
-from gradmc import SamplerConfig, gaussian_posterior
+from gradmc import FAMILIES, Dataset, Rng, SamplerConfig, gaussian_posterior, run_chain
 from gradmc.cli import main
 from gradmc.data import load_csv_columns
 
@@ -293,6 +295,56 @@ def test_run_parallel_chains_write_suffixed_files(gaussian_data, tmp_path):
     _, rows0 = read_chain(out / "chain.0.csv")
     _, rows1 = read_chain(out / "chain.1.csv")
     assert not np.array_equal(rows0, rows1)
+
+
+def test_run_chains_run_in_order_on_the_calling_thread(gaussian_data, tmp_path, monkeypatch):
+    calls = []
+    original = gradmc.cli.run_chain
+
+    def recording(*args, **kwargs):
+        calls.append((threading.get_ident(), copy.deepcopy(kwargs["rng"])))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gradmc.cli, "run_chain", recording)
+    assert run_cli("run", "--data", gaussian_data, "--algorithm", "sgld", "--stepsize", "1e-3",
+                   "--n-iters", 20, "--burnin", 0, "--seed", 5, "--chains", 3,
+                   "--out", tmp_path / "run") == 0
+    assert [ident for ident, _ in calls] == [threading.get_ident()] * 3
+    # Call i got chain i's stream: it draws what Rng(seed).spawn(3)[i] draws.
+    for (_, rng), spawned in zip(calls, Rng(5).spawn(3), strict=True):
+        assert np.array_equal(rng.standard_normal(8), spawned.standard_normal(8))
+
+
+@pytest.mark.parametrize("data, algorithm, stepsize", [
+    ("gaussian_data", "sgldcv", "1e-3"),
+    ("nn_data", "sghmc", "1e-5"),
+])
+def test_run_chain_files_match_run_chain_on_spawned_streams(request, tmp_path, data, algorithm, stepsize):
+    data_dir = request.getfixturevalue(data)
+    seed, n_iters, burnin, thin = 6, 40, 9, 3
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", data_dir, "--algorithm", algorithm, "--stepsize", stepsize,
+                   "--minibatch-size", 50, "--n-iters", n_iters, "--burnin", burnin, "--thin", thin,
+                   "--opt-stepsize", stepsize, "--opt-iters", 30, "--seed", seed, "--chains", 3,
+                   "--out", out) == 0
+    meta = json.loads((data_dir / "meta.json").read_text())
+    family = FAMILIES[meta["model"]]
+    model = family.build(**meta["hyper"])
+    train = Dataset(load_csv_columns(data_dir / "train.csv"))
+    config = SamplerConfig(algorithm=algorithm, stepsize=float(stepsize), minibatch_size=50,
+                           n_iters=n_iters, seed=seed, opt_stepsize=float(stepsize), opt_iters=30)
+    # The CLI draws the start from the root stream before spawning the chains' streams.
+    root = Rng(seed)
+    init = family.init_params(model, root)
+    kept = [0] + [t for t in range(1, n_iters + 1) if t > burnin and t % thin == 0]
+    for i, rng in enumerate(root.spawn(3)):
+        chain = run_chain(model, train, init, config, rng=rng)
+        flat = np.vstack([model.flatten(chain.start_params),
+                          np.hstack([chain.samples[name].reshape(n_iters, -1) for name in model.param_names])])
+        _, rows = read_chain(out / f"chain.{i}.csv")
+        assert np.array_equal(rows[:, 0], kept)
+        # %.17g round-trips a float64, so the parsed values carry the chain's bits.
+        assert np.array_equal(rows[:, 1:], flat[kept])
 
 
 def test_run_config_file_with_flag_override(gaussian_data, tmp_path):

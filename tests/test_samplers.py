@@ -186,13 +186,25 @@ def test_sgld_recovers_conjugate_posterior_mean():
 # n s2 (N - n) / (N - 1), s2 the ddof=0 variance of x.  So sgld is the AR(1)
 # theta' = a theta + (eps/2)(N/n) S + sqrt(eps) xi with a = 1 - eps P / 2:
 # stationary mean N xbar / P and variance
-# (eps + (eps/2)^2 (N/n)^2 Var S) / (1 - a^2).  sgldcv's control variate
-# cancels S exactly, which leaves the exact-gradient AR(1) with variance
-# eps / (1 - a^2).  These are the chain's exact laws, discretisation bias and
-# minibatch noise included; the bounds below are fixed in units of the exact
-# AR(1) standard errors.
+# (eps + (eps/2)^2 (N/n)^2 Var S) / (1 - a^2).  The control variate cancels
+# S exactly, which leaves the exact-gradient recursion (Var S read as 0).
+#
+# sghmc redraws the momentum v ~ N(0, eps) at each stored step, then runs L
+# inner maps theta += v; v = (1 - friction) v + eps (-P theta + (N/n) S_k)
+# + N(0, 2 friction eps), each with a fresh minibatch.  On (theta, v) each
+# inner map is z -> M z + u_k, M = [[1, 1], [-eps P, 1 - friction - eps P]],
+# so the stored theta is the AR(1) theta' = (M^L)_00 theta + (M^L)_01 v
+# + sum_k (M^(L-k))_01 u_k,1.  (N xbar / P, 0) is the inner map's fixed point
+# in mean, so the stationary mean is N xbar / P here too.
+#
+# These are the chain's exact laws, discretisation bias and minibatch noise
+# included; the bounds below are fixed in units of the exact AR(1) standard
+# errors.
 
-STATIONARY_N, STATIONARY_BATCH, STATIONARY_EPS, STATIONARY_PRIOR = 1000, 100, 1e-3, 10.0
+STATIONARY_N, STATIONARY_BATCH, STATIONARY_PRIOR = 1000, 100, 10.0
+# At these stepsizes sgld's a is 0.5 and sghmc's, with the default friction
+# and trajectory length, is -0.44.
+STATIONARY_EPS = {"sgld": 1e-3, "sghmc": 2e-4}
 STATIONARY_BURNIN, STATIONARY_KEPT = 200, 60_000
 STATIONARY_BOUND = 4.0  # standard errors, for the mean and for the variance
 
@@ -208,19 +220,34 @@ def _ar1_variance_se(variance, a, t):
     return variance * math.sqrt(2.0 * (1.0 + a * a) / (t * (1.0 - a * a)))
 
 
+def _stored_ar1(config, precision, gradient_var):
+    """(a, innovation variance) of the stored theta, given the variance of the
+    minibatch term (N/n) S of the gradient."""
+    eps = float(config.stepsize)
+    if config.algorithm.startswith("sgld"):
+        return 1.0 - eps * precision / 2.0, eps + (eps / 2.0) ** 2 * gradient_var
+    friction, length = config.friction, config.trajectory_length
+    inner = np.array([[1.0, 1.0], [-eps * precision, 1.0 - friction - eps * precision]])
+    powers = [np.linalg.matrix_power(inner, k) for k in range(length + 1)]
+    innovation = powers[length][0, 1] ** 2 * eps + sum(
+        powers[length - k][0, 1] ** 2 for k in range(1, length + 1)
+    ) * (eps ** 2 * gradient_var + 2.0 * friction * eps)
+    return powers[length][0, 0], innovation
+
+
 def stationary_law_gaps(algorithm, seed):
     """(mean gap, variance gap, variance gap under with-replacement minibatches),
-    each in standard errors, of one gaussian sgld or sgldcv chain against its exact law."""
-    n_data, n, eps = STATIONARY_N, STATIONARY_BATCH, STATIONARY_EPS
+    each in standard errors, of one gaussian sgld, sgldcv, sghmc or sghmccv
+    chain against its exact law."""
+    n_data, n, eps = STATIONARY_N, STATIONARY_BATCH, STATIONARY_EPS[algorithm.removesuffix("cv")]
     x = Rng(seed).standard_normal((n_data,))
     precision = n_data + 1.0 / STATIONARY_PRIOR
     mean = x.sum() / precision
-    a = 1.0 - eps * precision / 2.0
-    var_s = n * x.var() * (n_data - n) / (n_data - 1)
-    innovation = {"sgld": eps + (eps / 2.0) ** 2 * (n_data / n) ** 2 * var_s, "sgldcv": eps}[algorithm]
-    with_replacement = eps + (eps / 2.0) ** 2 * (n_data / n) ** 2 * n * x.var()
     config = SamplerConfig(algorithm=algorithm, stepsize=eps, minibatch_size=n, seed=seed + 1,
                            n_iters=STATIONARY_BURNIN + STATIONARY_KEPT, opt_stepsize=eps / 2.0, opt_iters=200)
+    scale = 0.0 if algorithm.endswith("cv") else (n_data / n) ** 2  # the control variate cancels S
+    a, innovation = _stored_ar1(config, precision, scale * n * x.var() * (n_data - n) / (n_data - 1))
+    _, with_replacement = _stored_ar1(config, precision, scale * n * x.var())
     chain = run_chain(build_gaussian(STATIONARY_PRIOR), Dataset({"x": x}), {"theta": mean},
                       config).samples["theta"][STATIONARY_BURNIN:]
     variance = innovation / (1.0 - a * a)
@@ -243,6 +270,19 @@ def test_sgld_matches_its_exact_stationary_law():
 
 def test_sgldcv_matches_its_exact_stationary_law():
     mean_gap, var_gap, _ = stationary_law_gaps("sgldcv", seed=0)
+    assert abs(mean_gap) <= STATIONARY_BOUND, mean_gap
+    assert abs(var_gap) <= STATIONARY_BOUND, var_gap
+
+
+def test_sghmc_matches_its_exact_stationary_law():
+    mean_gap, var_gap, with_replacement_gap = stationary_law_gaps("sghmc", seed=0)
+    assert abs(mean_gap) <= STATIONARY_BOUND, mean_gap
+    assert abs(var_gap) <= STATIONARY_BOUND, var_gap
+    assert abs(with_replacement_gap) > STATIONARY_BOUND, with_replacement_gap
+
+
+def test_sghmccv_matches_its_exact_stationary_law():
+    mean_gap, var_gap, _ = stationary_law_gaps("sghmccv", seed=0)
     assert abs(mean_gap) <= STATIONARY_BOUND, mean_gap
     assert abs(var_gap) <= STATIONARY_BOUND, var_gap
 

@@ -13,7 +13,8 @@ Every line is a label and a digest.  It covers, per model family:
 * ``gen_synth`` at 20 000 rows with the family's default hyper-parameters;
 * the files ``gradmc gen`` writes, and the CSVs and manifest of
   ``gradmc run`` over 4 families x 6 algorithms, plus one ``running-mean``
-  run per family (the manifest without its wall clock and data path).
+  run and one ``--chains 3`` run per family (every ``chain.<i>.csv`` and
+  ``logloss.<i>.csv``; the manifest without its wall clock and data path).
 
 It uses only the public API, so it runs unchanged on older checkouts.  It
 takes a few seconds on one core.  It is not a pytest module.
@@ -162,6 +163,13 @@ def cli_runs(family: str, work: Path) -> list[str]:
             "--seed", "9", "--thin", "4", "--test-function", "running-mean"]
     lines.append(f"run {family} running-mean exit {quiet_cli(argv)}")
     lines += [f"run {family} running-mean {path.name} {file_digest(path)}" for path in sorted(out.iterdir())]
+    out = work / f"{family}-chains"
+    argv = ["run", "--data", str(data), "--out", str(out), "--algorithm", "sghmccv",
+            "--stepsize", str(STEPSIZE[family]), "--minibatch-size", "20", "--n-iters", "60",
+            "--seed", "10", "--opt-stepsize", str(STEPSIZE[family]), "--opt-iters", "40",
+            "--thin", "3", "--chains", "3"]
+    lines.append(f"run {family} chains=3 exit {quiet_cli(argv)}")
+    lines += [f"run {family} chains=3 {path.name} {file_digest(path)}" for path in sorted(out.iterdir())]
     return lines
 
 

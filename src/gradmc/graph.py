@@ -452,29 +452,6 @@ class GraphBuilder:
 
     # -- internals -------------------------------------------------------------
 
-    def _renamed_copy(self, root: NodeRef, prefix: str) -> NodeRef:
-        """``root`` again, over new variables named ``prefix`` + each variable's name.
-
-        Every variable gets its copy; a node that feeds ``root`` and depends on
-        a variable is copied, in node order.  Data leaves, constants and
-        data-only subexpressions are shared with the original.
-        """
-        nodes = list(self._nodes)
-        feeds, stack = set(), [root.index]
-        while stack:
-            idx = stack.pop()
-            if idx not in feeds:
-                feeds.add(idx)
-                stack.extend(nodes[idx].inputs)
-        copies = {}
-        for node in nodes:
-            if node.op == "variable":
-                copies[node.index] = self.variable(prefix + node.attrs["name"], node.shape).index
-            elif node.index in feeds and any(i in copies for i in node.inputs):
-                inputs = tuple(NodeRef(self, copies.get(i, i), nodes[i].shape) for i in node.inputs)
-                copies[node.index] = self._append(node.op, inputs, node.shape, node.attrs).index
-        return NodeRef(self, copies.get(root.index, root.index), root.shape)
-
     def _check_leaf_name(self, name):
         if not name:
             raise ShapeError("leaf names must be non-empty")

@@ -15,7 +15,8 @@ laid out by ``Model.flatten`` in sorted name order, so each update is a few
 whole-vector operations with one noise draw over the whole vector.  That draw
 is bit-identical to one draw per parameter in sorted name order.  The chain
 binds its gradient plan once over that vector, and gets one flat gradient
-per minibatch, bit for bit :func:`estimate_gradient` (or :func:`cv_gradient`).
+per minibatch, bit for bit :func:`estimate_gradient`; a control-variate chain
+binds it again over the mode, bit for bit :func:`cv_gradient`.
 
 Randomness is consumed in a fixed, documented order - minibatch indices from
 one spawned substream, injected noise from another - so chains are
@@ -61,10 +62,6 @@ CV_ALGORITHMS = ("sgldcv", "sghmccv", "sgnhtcv")
 # Reserved placeholder that scales the minibatch log likelihood inside the
 # combined objective, so one backward pass yields the whole gradient estimate.
 _SCALE = "__grad_scale__"
-# Reserved prefix of the variables that hold the mode in the control-variate
-# pair objective, and the output that sums the objective at both points.
-_MODE = "__mode__"
-_PAIR = "__cv_pair__"
 
 
 class Model:
@@ -74,12 +71,12 @@ class Model:
     minibatch is fed, which is what makes the rescaled minibatch estimate
     unbiased.  The default prior is the constant 0 (improper flat).
 
-    The graph also holds a reserved copy of every variable, named
-    ``__mode__`` + its name, and a reserved output ``__cv_pair__``: the
-    objective plus the same objective over those copies, with the data
-    shared.  It lets :func:`cv_gradient` take both of its minibatch gradients
-    in one call.  The copies are not parameters: ``param_names``,
-    ``param_shapes`` and ``data_names`` never list them.
+    The graph's outputs are ``log_lik``, ``log_prior``, any extra outputs,
+    and ``objective``: the log prior plus the log likelihood scaled by the
+    reserved placeholder ``__grad_scale__``.  A chain, its mode search and
+    the unchunked full-data pass all differentiate ``objective``, so they
+    share one gradient plan.  The parameters are the graph's variables, and
+    the data its other placeholders.
     """
 
     def __init__(
@@ -102,16 +99,11 @@ class Model:
             "log_lik": log_lik,
             "log_prior": log_prior,
             "objective": objective,
-            _PAIR: objective + builder._renamed_copy(objective, _MODE),
         }
         if extra_outputs:
             outputs.update(extra_outputs)
         self.graph: Graph = builder.build(outputs)
-        self.param_shapes = {
-            name: shape
-            for name, shape in self.graph.variables.items()
-            if not name.startswith(_MODE)
-        }
+        self.param_shapes = self.graph.variables
         self.param_names = tuple(sorted(self.param_shapes))
         # Where each parameter lies in the flat vector: its slice and shape.
         self._layout = {}
@@ -235,10 +227,11 @@ class ChainState:
     sghmc, of 2*diffusion*eps for sgnht), and ``minibatch_count`` is the
     minibatch size in rows.  It does not validate them; ``SamplerHandle``
     does.  ``gradient`` maps a minibatch's rows to the flat gradient
-    estimate at ``theta`` (recentred by ``cv`` if given).  Minibatch indices
-    and injected noise come from two separate streams (spawned from the
-    chain's root stream) so noise sequences stay aligned across runs that
-    differ only in minibatch layout.
+    estimate at ``theta``; given ``cv``, to the full gradient plus the
+    difference of the estimates at ``theta`` and at the mode on those rows.
+    Minibatch indices and injected noise come from two separate streams
+    (spawned from the chain's root stream) so noise sequences stay aligned
+    across runs that differ only in minibatch layout.
     """
 
     def __init__(self, model: Model, dataset: Dataset, config: SamplerConfig, params,
@@ -264,7 +257,11 @@ class ChainState:
         rate = {"sghmc": 2.0 * config.friction, "sgnht": 2.0 * config.diffusion}.get(family)
         self.noise_scale = np.sqrt(self.eps if rate is None else rate * self.eps)
         self.minibatch_count = resolve_minibatch_size(config.minibatch_size, dataset.n)
-        self.gradient = _bind_gradient(model, dataset, self.minibatch_count, self.theta, cv)
+        self.gradient = here = _bind_gradient(model, dataset, self.minibatch_count, self.theta)
+        if cv is not None:
+            at_mode = _bind_gradient(model, dataset, self.minibatch_count, model.flatten(cv.mode_params))
+            full = model.flatten(cv.full_grad)
+            self.gradient = lambda rows: full + (here(rows) - at_mode(rows))
 
 
 @dataclass(frozen=True)
@@ -287,51 +284,31 @@ def estimate_gradient(model: Model, params, minibatch: Minibatch, n_total: int) 
     return model.graph.grad("objective", model.param_names, bindings)
 
 
-def cv_gradient(
-    model: Model,
-    params,
-    cv: ControlVariateState,
-    minibatch: Minibatch,
-    n_total: int,
-) -> dict[str, np.ndarray]:
+def cv_gradient(model: Model, params, cv: ControlVariateState, minibatch: Minibatch,
+                n_total: int) -> dict[str, np.ndarray]:
     """Control-variate gradient estimate.
 
     Full gradient at the mode, recentred by the difference of the minibatch
     estimates at the current point and at the mode - both on the SAME
     minibatch, so the two noisy terms cancel exactly when params equal the
-    mode.  Both estimates come from one gradient call on the model's pair
-    objective, with the mode bound to its reserved variable copies; each
-    half is bit-identical to ``estimate_gradient`` at its point.
+    mode.  The two estimates are two ``estimate_gradient`` calls.
     """
-    bindings = dict(minibatch.views)
-    bindings.update(params)
-    bindings.update((_MODE + name, value) for name, value in cv.mode_params.items())
-    bindings[_SCALE] = n_total / minibatch.size
-    grads = model.graph.grad(_PAIR, _pair_wrt(model), bindings)
-    return {name: cv.full_grad[name] + (grads[name] - grads[_MODE + name]) for name in model.param_names}
+    here = estimate_gradient(model, params, minibatch, n_total)
+    at_mode = estimate_gradient(model, cv.mode_params, minibatch, n_total)
+    return {name: cv.full_grad[name] + (here[name] - at_mode[name]) for name in model.param_names}
 
 
-def _pair_wrt(model: Model) -> tuple:
-    """The pair objective's variables: the parameters, then their mode copies."""
-    return model.param_names + tuple(_MODE + name for name in model.param_names)
-
-
-def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray,
-                   cv: ControlVariateState | None = None) -> Callable[[Mapping], np.ndarray]:
+def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray) -> Callable[[Mapping], np.ndarray]:
     """The flat gradient estimate at ``theta`` as a function of an n-row minibatch's rows.
 
-    Bit for bit ``estimate_gradient``, or ``cv_gradient`` given ``cv``.  A
-    call reads each rank-0 parameter from ``theta`` as a numpy scalar; every
-    other parameter is a view of ``theta``, and the mode and the scale N/n
-    are constants.  The data's shapes are checked here, once.
+    Bit for bit ``estimate_gradient``.  A call reads each rank-0 parameter
+    from ``theta`` as a numpy scalar; every other parameter is a view of
+    ``theta``, and the scale N/n is a constant.  The data's shapes are
+    checked here, once.
     """
-    names = model.param_names
-    objective, wrt = ("objective", names) if cv is None else (_PAIR, _pair_wrt(model))
-    leaves, body = model.graph._grad_plan(objective, wrt)
+    leaves, body = model.graph._grad_plan("objective", model.param_names)
     fixed = {**model.views(theta), _SCALE: np.asarray(dataset.n / n)}
-    if cv is not None:
-        fixed.update((_MODE + name, value) for name, value in model.views(model.flatten(cv.mode_params)).items())
-    ns = {"_body": body, "_theta": theta, "_full": None if cv is None else model.flatten(cv.full_grad)}
+    ns = {"_body": body, "_theta": theta}
     args = []
     for k, leaf in enumerate(leaves):
         name = leaf.attrs["name"]
@@ -347,8 +324,7 @@ def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray,
             shape = model.graph._conformed_shape(leaf, rows)
             ns[f"_a{k}"], ns[f"_s{k}"] = name, shape
             args.append(f"rows[_a{k}]" + ("" if shape == rows else f".reshape(_s{k})"))
-    result = "g" if cv is None else f"_full + (g[:{theta.size}] - g[{theta.size}:])"
-    source = f"def gradient(rows):\n    g = _body({', '.join(args)})\n    return {result}\n"
+    source = f"def gradient(rows):\n    return _body({', '.join(args)})\n"
     exec(compile(source, "<gradmc bound gradient>", "exec"), ns)
     return ns["gradient"]
 
@@ -428,7 +404,10 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
 
     Each of the ``trajectory_length`` inner updates moves the parameters by the
     momenta, re-estimates the gradient on a fresh minibatch, and relaxes the
-    momenta with fixed friction and N(0, 2*friction*eps) noise.
+    momenta with fixed friction and N(0, 2*friction*eps) noise.  So the last
+    inner gradient goes into a momentum that the next stored step redraws,
+    and never reaches the parameters: at ``trajectory_length`` 1 the chain is
+    a random walk that ignores the posterior.
     """
     eps = state.eps
     alpha = config.friction

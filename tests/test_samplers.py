@@ -507,7 +507,7 @@ _FAMILY_NAMES = {
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILY_NAMES))
-def test_cv_gradient_is_one_grad_call_bit_equal_to_two(family, monkeypatch):
+def test_cv_gradient_is_two_objective_grad_calls(family, monkeypatch):
     spec = FAMILIES[family]
     hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
     model = spec.build(**hyper)
@@ -516,7 +516,7 @@ def test_cv_gradient_is_one_grad_call_bit_equal_to_two(family, monkeypatch):
     mode = {name: value + 0.01 for name, value in start.items()}
     cv = ControlVariateState(mode_params=mode, full_grad=full_log_posterior_grad(model, dataset, mode))
 
-    # The reserved mode copies are not parameters or data.
+    # The parameters are the graph's variables; the data its placeholders but the scale.
     param_names, data_names = _FAMILY_NAMES[family]
     assert model.param_names == param_names
     assert model.data_names == data_names
@@ -540,11 +540,62 @@ def test_cv_gradient_is_one_grad_call_bit_equal_to_two(family, monkeypatch):
         ]
         calls.clear()
         got = cv_gradient(model, point, cv, mb, dataset.n)
-        assert len(calls) == 1
+        assert calls == ["objective", "objective"]
         assert list(got) == list(model.param_names)
         for name in model.param_names:
             want = cv.full_grad[name] + (halves[0][name] - halves[1][name])
             assert want.shape == got[name].shape and want.tobytes() == got[name].tobytes(), name
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_NAMES))
+def test_graph_eval_of_every_output_needs_only_params_data_and_scale(family):
+    spec = FAMILIES[family]
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
+    model = spec.build(**hyper)
+    dataset = gen_synth(family, 30, Rng(8), n_test=2, **hyper).train
+    params = model.check_params(spec.init_params(model, Rng(9)))
+    bindings = {**dataset.entries, **params, "__grad_scale__": 1.0}
+    values = model.graph.eval(bindings)
+    assert list(values) == list(model.graph.outputs)
+    assert {"log_lik", "log_prior", "objective"} <= set(values)
+    assert values["objective"] == values["log_prior"] + values["log_lik"]
+
+
+def test_a_parameter_named_like_a_reserved_prefix_is_a_parameter():
+    # Names starting "__mode__" are ordinary variable names.
+    b = GraphBuilder()
+    x = b.placeholder("x", (None,))
+    w = b.variable("__mode__w", ())
+    model = Model(b, log_lik=b.reduce_sum(b.normal_logpdf(x, w, 1.0)))
+    assert model.param_names == ("__mode__w",)
+    assert model.param_shapes == {"__mode__w": ()}
+    assert sorted(model.graph.variables) == ["__mode__w"]
+    dataset = Dataset({"x": Rng(2).standard_normal((40,)) + 3.0})
+    config = SamplerConfig(algorithm="sgld", stepsize=1e-2, minibatch_size=10, n_iters=50, seed=4)
+    out = run_chain(model, dataset, {"__mode__w": 0.0}, config)
+    draws = out.samples["__mode__w"]
+    assert draws.shape == (50,) and np.all(np.isfinite(draws))
+    assert abs(draws[-10:].mean() - dataset["x"].mean()) < 1.0
+
+
+def test_cv_init_compiles_one_gradient_plan(monkeypatch):
+    # The mode search, the full-data pass and both of the chain's bound
+    # gradients differentiate the same objective by the same variables.
+    model, dataset, _ = make_gaussian_setup(n=50, seed=1)
+    compiled = []
+    reference = Graph._compile
+
+    def counted(self, targets, names, grad):
+        compiled.append((tuple(names), grad))
+        return reference(self, targets, names, grad)
+
+    monkeypatch.setattr(Graph, "_compile", counted)
+    config = SamplerConfig(algorithm="sgldcv", stepsize=1e-3, minibatch_size=10, n_iters=5,
+                           opt_stepsize=1e-3, opt_iters=20, seed=2)
+    handle = sampler_setup(model, dataset, {"theta": 0.0}, config).init()
+    for _ in range(3):
+        handle.step()
+    assert compiled == [(("theta",), True)]
 
 
 # -- the chain's bound gradient ----------------------------------------------------------

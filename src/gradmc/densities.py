@@ -3,7 +3,8 @@
 These are plain numpy functions over float64 arrays, and the expression
 graph's log-density nodes run them as their forwards.  The two-component
 mixture has no kernel here: the graph composes it from two
-`mvnormal_diag_logpdf` nodes and `logaddexp`.
+`mvnormal_diag_logpdf` nodes and `logaddexp`.  `class_indices` is the one
+check of class labels, for the graph's categorical and the log losses alike.
 """
 
 from __future__ import annotations
@@ -122,6 +123,16 @@ def gamma_logpdf(x, shape, rate):
     return np.where(x > 0.0, value, -np.inf)
 
 
+def class_indices(labels, k):
+    """Labels as int64 indices, or DomainError unless each is a whole number in
+    [0, k): NaN and +-inf fail like any other bad label, before the cast."""
+    values = np.asarray(labels, dtype=np.float64)
+    whole = (values >= 0.0) & (values < k) & (values == np.trunc(values))
+    if not whole.all():
+        raise DomainError(f"class labels must be integer-valued in [0, {k}), got {values[~whole].flat[0]}")
+    return values.astype(np.int64)
+
+
 def categorical_logpdf(probs, labels):
     """Per-row log probability of integer class labels under row-simplex probs.
 
@@ -130,15 +141,10 @@ def categorical_logpdf(probs, labels):
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    idx = labels.astype(np.int64)
     if labels.ndim != 1 or probs.ndim != 2:
         raise DomainError(
             f"categorical expects probs (n, k) and labels (n,), got {probs.shape} and {labels.shape}"
         )
-    if np.any(np.abs(np.asarray(labels, dtype=np.float64) - idx) > 0):
-        raise DomainError("categorical labels must be integer-valued")
-    k = probs.shape[1]
-    if idx.size and (idx.min() < 0 or idx.max() >= k):
-        raise DomainError(f"categorical label out of range [0, {k})")
+    idx = class_indices(labels, probs.shape[1])
     picked = probs[np.arange(idx.size), idx]
     return np.log(np.maximum(picked, PROB_CLAMP))

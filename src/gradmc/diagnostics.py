@@ -2,9 +2,11 @@
 
 Log losses are mean negative log predictive probabilities on a held-out test
 set, with probabilities clamped to [1e-12, 1 - 1e-12] so the metrics stay
-finite at saturated predictions.  Chains are summarized by per-coordinate
-moment matching to a diagonal Gaussian, compared to reference posteriors via
-KL divergence.  Everything here is pure and safe to call from parallel code.
+finite at saturated predictions; ``densities.class_indices`` checks their
+labels, binary ones as classes 0 and 1.  Chains are summarized by
+per-coordinate moment matching to a diagonal Gaussian, compared to reference
+posteriors via KL divergence.  Everything here is pure and safe to call from
+parallel code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import PROB_CLAMP
+from .densities import PROB_CLAMP, class_indices
 from .errors import DegenerateChain, DomainError, ShapeError
 
 __all__ = [
@@ -62,6 +64,7 @@ def log_loss_binary(bias, beta, x, y) -> float:
         raise ShapeError(f"test set shapes {x.shape} and {y.shape} do not align")
     if x.shape[0] == 0:
         raise DomainError("log loss needs a non-empty test set")
+    class_indices(y, 2)
     eta = float(np.asarray(bias).reshape(())) + x @ np.ravel(np.asarray(beta, dtype=np.float64))
     with np.errstate(over="ignore"):
         pi = 1.0 / (1.0 + np.exp(-eta))
@@ -82,16 +85,9 @@ def log_loss_multiclass(params, x, y, forward) -> float:
         raise DomainError("log loss needs a non-empty test set")
     probs = np.asarray(forward(params, x), dtype=np.float64)
     k = probs.shape[1]
-    if y.ndim == 2:
-        if y.shape[1] != k:
-            raise ShapeError(f"one-hot labels have {y.shape[1]} classes, predictor has {k}")
-        labels = np.argmax(y, axis=1)
-    else:
-        labels = y.astype(np.int64)
-        if np.any(np.abs(np.asarray(y, dtype=np.float64) - labels) > 0):
-            raise DomainError("labels must be integers or one-hot rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise DomainError(f"label out of range [0, {k})")
+    if y.ndim == 2 and y.shape[1] != k:
+        raise ShapeError(f"one-hot labels have {y.shape[1]} classes, predictor has {k}")
+    labels = np.argmax(y, axis=1) if y.ndim == 2 else class_indices(y, k)
     picked = _clamp(probs[np.arange(labels.size), labels])
     return float(-np.mean(np.log(picked)))
 

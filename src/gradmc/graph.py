@@ -24,22 +24,23 @@ and conform the bindings, then call it; a sampler chain binds it once
 seed adjoint are numpy scalars in a body: the same IEEE bits as rank-0
 arrays, without numpy's array dispatch.  Shapes, and which gradients flow
 where, are decided while emitting.  A gradient plan computes only the
-contributions someone consumes,
-so data, constants and variables nobody asked for cost no backward work, and
-only the forward values its backward steps read, so the objective's own value
-is never computed.  Forwards that validate their inputs (the labels of
-``categorical_logpdf``) run under ``grad`` too.  The rank-0 adjoint of a
-``reduce_sum`` is passed on as it is wherever every term that reads it
-already has the summed node's full shape (the per-row terms of the log
-densities, for one), through the pass-throughs of ``add``/``subtract``/
-``negate`` to inputs of that shape whose own terms do too; it is broadcast
-only where a term needs the full shape from it: a sum into a scalar input,
-``matmul``, ``broadcast_add`` and a returned gradient.  A backward
-statement drops a factor that is the rank-0 constant 1.0.  The results are
-the same bits either way.  Every gradient and output ``grad`` and ``eval``
-return is an array of its own, rank-0 ones included, writeable and of its
-node's declared shape.  Plans never change once built, so graphs stay
-immutable and shareable across threads.
+contributions someone consumes, so data, constants and variables nobody
+asked for cost no backward work, and only the forward values its backward
+steps read, so the objective's own value is never computed.  Class labels
+are checked wherever ``categorical_logpdf`` is evaluated or differentiated
+through, by its forward or its backward; a gradient that never reaches it
+neither reads nor checks them.  The rank-0 adjoint of a ``reduce_sum`` is
+passed on as it is wherever every term that reads it already has the
+summed node's full shape (the per-row terms of the log densities, for
+one), through the pass-throughs of ``add``/``subtract``/``negate`` to
+inputs of that shape whose own terms do too; it is broadcast only where a
+term needs the full shape from it: a sum into a scalar input, ``matmul``,
+``broadcast_add`` and a returned gradient.  A backward statement drops a
+factor that is the rank-0 constant 1.0.  The results are the same bits
+either way.  Every gradient and output ``grad`` and ``eval`` return is an
+array of its own, rank-0 ones included, writeable and of its node's
+declared shape.  Plans never change once built, so graphs stay immutable
+and shareable across threads.
 """
 
 from __future__ import annotations
@@ -188,7 +189,6 @@ class _Op(NamedTuple):
     full_terms: bool = False
     # The one contribution is {g} at input 0's shape (the adjoint of a sum).
     sums: bool = False
-    checks: bool = False  # the forward validates its inputs, so grad runs it too
 
 
 _Z_PRE = ("{t}z = ({0} - {1}) / {2}",)
@@ -241,14 +241,14 @@ _OPS = {
         "_densities.categorical_logpdf({0}, {1})",
         ("{t}gprobs", None),
         pre=(
-            "{t}idx = {1}.astype(_np.int64)",
+            "{t}idx = _densities.class_indices({1}, {0}.shape[1])",
             "{t}rows = _np.arange({t}idx.size)",
             "{t}picked = {0}[{t}rows, {t}idx]",
             "{t}gprobs = _np.zeros_like({0})",
             "{t}gprobs[{t}rows, {t}idx] = _np.where("
             "{t}picked > _densities.PROB_CLAMP, _np.asarray({g}) / {t}picked, 0.0)",
         ),
-        full_terms=True, checks=True,
+        full_terms=True,
     ),
 }
 _FIELDS = string.Formatter()
@@ -499,16 +499,15 @@ class Graph:
     or (objective, wrt) pair.  A body is one Python function, emitted as
     source and ``exec``-ed once: it takes the leaves positionally, computes
     the forward values the result reads, and, for ``grad``, one line per
-    gradient contribution, in reverse node order.
-    ``grad`` never computes the objective's value, nor any other forward
-    value that no backward step reads; a forward that validates its inputs
-    (``categorical_logpdf``'s labels) still runs.  A ``reduce_sum`` adjoint
-    stays rank-0 where every term that reads it, through any pass-through
-    of ``add``/``subtract``/``negate``, has the summed node's shape anyway,
-    and is broadcast elsewhere.  Plans never change once
-    built, and two threads that race to build one build equal functions, so a
-    graph is shareable across threads without a lock; repeated calls with the
-    same bindings return bit-identical results.
+    gradient contribution, in reverse node order.  ``grad`` never computes
+    the objective's value, nor any other forward value that no backward step
+    reads; ``categorical_logpdf``'s backward checks the labels its forward
+    would.  A ``reduce_sum`` adjoint stays rank-0 where every term that reads
+    it, through any pass-through of ``add``/``subtract``/``negate``, has the
+    summed node's shape anyway, and is broadcast elsewhere.  Plans never
+    change once built, and two threads that race to build one build equal
+    functions, so a graph is shareable across threads without a lock;
+    repeated calls with the same bindings return bit-identical results.
     """
 
     def __init__(self, nodes, variables, placeholders, outputs):
@@ -625,7 +624,7 @@ class Graph:
             if not feeds[idx]:
                 feeds[idx] = True
                 stack.extend(nodes[idx].inputs)
-        keep = [False] * len(nodes)  # the value is computed: read, returned or checked
+        keep = [False] * len(nodes)  # the value is computed: read or returned
 
         def keep_value(idx):
             stack = [idx]
@@ -665,9 +664,6 @@ class Graph:
         else:
             for idx in targets:
                 keep_value(idx)
-        for node in nodes:
-            if feeds[node.index] and node.inputs and _OPS[node.op].checks:
-                keep_value(node.index)
 
         exact = []  # the runtime shape is the declared one
         for node in nodes:

@@ -120,6 +120,21 @@ def test_label_out_of_range_rejected():
                             lambda p, x: np.full((2, 3), 1 / 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_multiclass_labels_raise_a_domain_error(bad):
+    with pytest.raises(DomainError, match="integer-valued"):
+        log_loss_multiclass({}, np.zeros((3, 1)), np.array([0.0, bad, 1.0]),
+                            lambda p, x: np.full((3, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
+def test_binary_labels_must_be_zero_or_one(bad):
+    x = np.ones((3, 1))
+    assert np.isfinite(log_loss_binary(0.0, np.array([1.0]), x, np.array([0.0, 1.0, 1.0])))
+    with pytest.raises(DomainError, match="integer-valued"):
+        log_loss_binary(0.0, np.array([1.0]), x, np.array([0.0, bad, 1.0]))
+
+
 # -- moment matching ------------------------------------------------------------------
 
 def test_constant_chain_is_degenerate():

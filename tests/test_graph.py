@@ -589,6 +589,54 @@ def test_grad_rejects_bad_categorical_labels(bad):
         g.grad("out", ["logits"], bindings)
 
 
+def _categorical_graph():
+    b = GraphBuilder()
+    logits = b.variable("logits", (4, 3))
+    labels = b.placeholder("y", (None,))
+    return b.build({"out": b.reduce_sum(b.categorical_logpdf(b.softmax(logits), labels))})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_categorical_labels_raise_a_domain_error(bad):
+    import gradmc.densities
+
+    labels = np.array([0.0, 2.0, bad, 0.0])
+    with pytest.raises(DomainError, match="integer-valued"):
+        gradmc.densities.categorical_logpdf(np.full((4, 3), 1.0 / 3.0), labels)
+    g = _categorical_graph()
+    bindings = {"logits": np.zeros((4, 3)), "y": labels}
+    with pytest.raises(DomainError, match="integer-valued"):
+        g.eval(bindings, ["out"])
+    with pytest.raises(DomainError, match="integer-valued"):
+        g.grad("out", ["logits"], bindings)
+
+
+def test_bayes_nn_grad_checks_labels_only_through_the_categorical_backward(monkeypatch):
+    # The objective's gradient never runs the categorical forward; its
+    # backward checks the labels, and a gradient that never reaches the
+    # categorical (a prior precision alone) neither reads nor checks them.
+    import gradmc.densities
+    from gradmc.models import build_bayes_nn
+
+    calls = []
+    original = gradmc.densities.categorical_logpdf
+    monkeypatch.setattr(gradmc.densities, "categorical_logpdf", lambda *a: calls.append(1) or original(*a))
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3}
+    model = build_bayes_nn(**hyper)
+    data = gen_synth("bayes_nn", 40, Rng(8), n_test=2, **hyper).train
+    bindings = {name: data[name] for name in model.data_names}
+    bindings.update(FAMILIES["bayes_nn"].init_params(model, Rng(9)))
+    bindings["__grad_scale__"] = 40 / 7
+    model.graph.grad("objective", model.param_names, bindings)
+    assert len(calls) == 0
+    model.graph.eval(bindings, ["log_lik"])
+    assert len(calls) == 1
+    bindings["y"] = np.where(np.arange(40) == 3, np.nan, bindings["y"])
+    with pytest.raises(DomainError, match="integer-valued"):
+        model.graph.grad("objective", model.param_names, bindings)
+    assert np.isfinite(model.graph.grad("objective", ["lambda_A"], bindings)["lambda_A"])
+
+
 def test_grad_skips_forward_values_no_gradient_reads(monkeypatch):
     import gradmc.densities
     from gradmc.models import build_gaussian

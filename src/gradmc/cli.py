@@ -128,7 +128,10 @@ def _parse_stepsize(entries) -> float | dict:
             except ValueError:
                 raise ConfigError(f"stepsize {part!r} is not a number") from None
             if "=" in part:
-                named[name.strip()] = value
+                name = name.strip()
+                if name in named:
+                    raise ConfigError(f"stepsize for {name!r} given twice")
+                named[name] = value
             else:
                 scalars.append(value)
     if named and scalars:

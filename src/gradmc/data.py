@@ -42,8 +42,6 @@ class Rng:
     across threads, spawn children instead.
     """
 
-    ALGORITHM = "pcg64"
-
     def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
         self.seed = int(seed)
         self._sequence = (

@@ -77,17 +77,25 @@ def log_loss_multiclass(params, x, y, forward) -> float:
     """Mean negative log probability of the true class.
 
     ``forward(params, x)`` must return one probability row per observation;
-    ``y`` holds integer labels in [0, k) or one-hot rows.
+    ``y`` holds one integer label in [0, k) or one one-hot row per observation.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    if y.ndim not in (1, 2) or y.shape[:1] != x.shape[:1]:
+        raise ShapeError(f"test set shape {x.shape} and label shape {y.shape} do not align")
     if x.shape[0] == 0:
         raise DomainError("log loss needs a non-empty test set")
     probs = np.asarray(forward(params, x), dtype=np.float64)
     k = probs.shape[1]
-    if y.ndim == 2 and y.shape[1] != k:
-        raise ShapeError(f"one-hot labels have {y.shape[1]} classes, predictor has {k}")
-    labels = np.argmax(y, axis=1) if y.ndim == 2 else class_indices(y, k)
+    if y.ndim == 1:
+        labels = class_indices(y, k)
+    else:
+        if y.shape[1] != k:
+            raise ShapeError(f"one-hot labels have {y.shape[1]} classes, predictor has {k}")
+        labels = np.argmax(y, axis=1)
+        bad = (y != np.eye(k)[labels]).any(axis=1)
+        if bad.any():
+            raise DomainError(f"one-hot label rows must hold one 1 and 0 elsewhere, got {y[bad][0]}")
     picked = _clamp(probs[np.arange(labels.size), labels])
     return float(-np.mean(np.log(picked)))
 

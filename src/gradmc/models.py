@@ -227,13 +227,8 @@ def _gen_mixture(n, rng: Rng, n_test: int) -> GeneratedData:
     )
 
 
-def _gen_logistic(n, rng: Rng, n_test: int, d: int,
-                  true_bias: float | None = None, true_beta=None) -> GeneratedData:
+def _gen_logistic(n, rng: Rng, n_test: int, d: int) -> GeneratedData:
     bias, beta = logistic_true_coefficients(d)
-    if true_bias is not None:
-        bias = float(true_bias)
-    if true_beta is not None:
-        beta = np.asarray(true_beta, dtype=np.float64)
     total = n + n_test
     x = rng.uniform((total, d))
     pi = 1.0 / (1.0 + np.exp(-(bias + x @ beta)))
@@ -304,13 +299,12 @@ def _init_bayes_nn(model, rng: Rng) -> dict:
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """Registry record tying a family name to its builder, init, and generator.
+    """Registry record of a family's builder, init, and generator.
 
     The builder's keyword parameters are the family's hyper-parameters, and
     its signature holds their defaults; the generator takes the same names.
     """
 
-    name: str
     build: Callable[..., Model]
     init_params: Callable[[Model, Rng], dict]
     generate: Callable[..., GeneratedData]
@@ -324,28 +318,24 @@ class ModelFamily:
 
 FAMILIES: dict[str, ModelFamily] = {
     "gaussian": ModelFamily(
-        name="gaussian",
         build=build_gaussian,
         init_params=_init_gaussian,
         generate=_gen_gaussian,
         label_kind=None,
     ),
     "gaussian_mixture": ModelFamily(
-        name="gaussian_mixture",
         build=build_gaussian_mixture,
         init_params=_init_standard_normal,
         generate=_gen_mixture,
         label_kind=None,
     ),
     "logistic_regression": ModelFamily(
-        name="logistic_regression",
         build=build_logistic_regression,
         init_params=_init_standard_normal,
         generate=_gen_logistic,
         label_kind="binary",
     ),
     "bayes_nn": ModelFamily(
-        name="bayes_nn",
         build=build_bayes_nn,
         init_params=_init_bayes_nn,
         generate=_gen_bayes_nn,
@@ -357,9 +347,8 @@ FAMILIES: dict[str, ModelFamily] = {
 def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -> GeneratedData:
     """Generate a reproducible synthetic train/test split for a family.
 
-    ``hyper`` takes the builder's hyper-parameter names, plus any setting of
-    the family's generator (the true coefficients of ``logistic_regression``);
-    one left out takes its default, and an unknown name raises ConfigError.
+    ``hyper`` takes the builder's hyper-parameter names; one left out takes
+    its default, and an unknown name raises ConfigError.
     ``n_test`` defaults to max(2, n // 5).  The train and test datasets are
     the first ``n`` and the last ``n_test`` rows of one read-only buffer per
     entry, which both hold without a copy.
@@ -371,8 +360,7 @@ def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -
     if n_test is None:
         n_test = max(2, n // 5)
     family = FAMILIES[name]
-    settings = list(inspect.signature(family.generate).parameters)[3:]  # after n, rng, n_test
-    _check_hyper(name, hyper, list(dict.fromkeys([*family.hyper_defaults, *settings])))
+    _check_hyper(name, hyper, list(family.hyper_defaults))
     hyper = {**family.hyper_defaults, **hyper}
     hyper.pop("prior_variance", None)  # prior scale shapes the model, not the data
     return family.generate(n, rng, n_test, **hyper)

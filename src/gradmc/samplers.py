@@ -74,8 +74,8 @@ class Model:
     The graph's outputs are ``log_lik``, ``log_prior``, any extra outputs,
     and ``objective``: the log prior plus the log likelihood scaled by the
     reserved placeholder ``__grad_scale__``.  A chain, its mode search and
-    the unchunked full-data pass all differentiate ``objective``, so they
-    share one gradient plan.  The parameters are the graph's variables, and
+    the full-data pass all differentiate ``objective``, so they share one
+    gradient plan.  The parameters are the graph's variables, and
     the data its other placeholders.
     """
 
@@ -329,34 +329,18 @@ def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray) ->
     return ns["gradient"]
 
 
-def full_log_posterior_grad(
-    model: Model, dataset: Dataset, params, chunk_size: int | None = None
-) -> dict[str, np.ndarray]:
+def full_log_posterior_grad(model: Model, dataset: Dataset, params) -> dict[str, np.ndarray]:
     """Exact full-data log-posterior gradient.
 
-    By default this is one pass over the whole dataset in natural row order,
-    bit-identical to ``estimate_gradient`` with a full batch in that order.
-    The pass reads the dataset's stored arrays themselves, with the
-    likelihood scale at n / n = 1: it gathers no copy of the rows.  With
-    ``chunk_size`` set, likelihood gradients accumulate chunk by chunk in a
-    fixed sequential order (bit-reproducible across runs, lower peak memory).
+    One pass over the whole dataset in natural row order, bit-identical to
+    ``estimate_gradient`` with a full batch in that order.  The pass reads
+    the dataset's stored arrays themselves, with the likelihood scale at
+    n / n = 1: it gathers no copy of the rows.
     """
-    n = dataset.n
-    if chunk_size is None or chunk_size >= n:
-        bindings = dict(dataset.entries)
-        bindings.update(params)
-        bindings[_SCALE] = 1.0
-        return model.graph.grad("objective", model.param_names, bindings)
-    total = model.graph.grad("log_prior", model.param_names, dict(params))
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        bindings = {
-            name: arr[start:stop] for name, arr in dataset.entries.items()
-        }
-        bindings.update(params)
-        part = model.graph.grad("log_lik", model.param_names, bindings)
-        total = {name: total[name] + part[name] for name in model.param_names}
-    return total
+    bindings = dict(dataset.entries)
+    bindings.update(params)
+    bindings[_SCALE] = 1.0
+    return model.graph.grad("objective", model.param_names, bindings)
 
 
 def _check_finite(model: Model, flat: np.ndarray, iteration: int, what: str) -> None:

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import shutil
 import subprocess
 import sys
 import threading
@@ -414,6 +415,72 @@ def test_run_config_errors_exit_2(mixture_data, tmp_path):
                    "--stepsize", "1e-3", "--out", out) == 2  # no meta.json
 
 
+SGLD = ["--algorithm", "sgld", "--stepsize", "1e-3", "--n-iters", 5]
+
+
+@pytest.mark.parametrize("argv, train_csv, code, message", [
+    (["--data", "{data}", "--algorithm", "sgld"], None, 2, "--stepsize is required"),
+    (["--data", "{data}", *SGLD, "--thin", 0], None, 2, "thinning interval"),
+    (["--data", "{data}", *SGLD, "--chains", 0], None, 2, "--chains must be at least 1"),
+    (["--data", "{data}", *SGLD, "--test-function", "log-loss"], None, 2,
+     "log-loss test function needs a classification model"),
+    (SGLD, None, 2, "--data is required"),
+    (["--data", "{data}", *SGLD, "--config", "{config}"], None, 2, "expected key = value"),
+    (["--data", "{data}", *SGLD], "", 4, "empty file"),
+    (["--data", "{data}", *SGLD], "x.1,,x.2\n0,1,2\n", 4, "blank column name"),
+], ids=["no_stepsize", "thin_0", "chains_0", "log_loss_without_labels", "no_data",
+        "config_line_without_equals", "empty_train_csv", "blank_header_column"])
+def test_run_input_errors_exit_with_their_code(mixture_data, tmp_path, capsys, argv, train_csv,
+                                               code, message):
+    data = mixture_data
+    if train_csv is not None:
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(mixture_data / "meta.json", data)
+        (data / "train.csv").write_text(train_csv)
+    config = tmp_path / "run.conf"
+    config.write_text("n_iters 5\n")
+    out = tmp_path / "out"
+    argv = [str(a).format(data=data, config=config) for a in argv]
+    assert run_cli("run", *argv, "--out", out) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--stepsize", "theta1=1e-3", "--stepsize", "theta2=2e-3"], None),
+    (["--stepsize", "theta1=1e-3,theta2=2e-3"], None),
+    ([], "stepsize = theta1=1e-3, theta2=2e-3\n"),
+], ids=["repeated_flags", "comma_list", "config_file"])
+def test_run_per_parameter_stepsizes(mixture_data, tmp_path, flags, config):
+    if config is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(config)
+        flags = ["--config", path]
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", mixture_data, "--algorithm", "sgld", "--n-iters", 5,
+                   *flags, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stepsize"] == {"theta1": 1e-3, "theta2": 2e-3}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--stepsize", "theta1=1e-3,theta2=2e-3", "--stepsize", "theta1=5e-3"],
+     "stepsize for 'theta1' given twice"),
+    (["--stepsize", "theta1=1e-3,theta2=2e-3,theta1=1e-3"], "stepsize for 'theta1' given twice"),
+    (["--stepsize", "theta1=1e-3", "--stepsize", "1e-3"], "mix of scalar and per-parameter"),
+    (["--stepsize", "theta1=1e-3"], "no stepsize given for ['theta2']"),
+    (["--stepsize", "theta1=1e-3,theta2=2e-3,theta3=1e-3"], "stepsize names ['theta3'] match no parameter"),
+], ids=["repeated_flag", "repeated_in_list", "mixed", "missing", "unknown"])
+def test_run_rejects_bad_per_parameter_stepsizes(mixture_data, tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", mixture_data, "--algorithm", "sgld", "--n-iters", 5,
+                   *flags, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_divergence_exit_3(gaussian_data, tmp_path):
     out = tmp_path / "div"
@@ -444,6 +511,13 @@ def test_kl_degenerate_chain_exit_2(gaussian_data, tmp_path):
     chain = tmp_path / "chain.csv"
     chain.write_text("iter,theta.0\n" + "\n".join(f"{t},0.5" for t in range(1, 20)) + "\n")
     assert run_cli("kl", "--chain", chain, "--data", gaussian_data) == 2
+
+
+def test_kl_needs_two_post_initial_rows(gaussian_data, tmp_path, capsys):
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,theta.0\n0,0.1\n1,0.2\n")
+    assert run_cli("kl", "--chain", chain, "--data", gaussian_data) == 2
+    assert "at least 2 post-initial chain rows" in capsys.readouterr().err
 
 
 def test_kl_rejects_non_gaussian_model(mixture_data, tmp_path):

@@ -127,6 +127,31 @@ def test_non_finite_multiclass_labels_raise_a_domain_error(bad):
                             lambda p, x: np.full((3, 3), 1 / 3))
 
 
+@pytest.mark.parametrize("onehot", [
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [np.nan, 1.0]],
+    [[0.5, 0.5], [0.0, 1.0]],
+    [[1.0, 1.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, 2.0]],
+], ids=["zeros", "nan", "halves", "two_ones", "two"])
+def test_one_hot_rows_must_hold_a_single_one(onehot):
+    probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(DomainError, match="one-hot"):
+        log_loss_multiclass({}, np.zeros((2, 1)), np.array(onehot), lambda p, x: probs)
+
+
+@pytest.mark.parametrize("rows, labels", [
+    (3, np.array([0, 1])),
+    (2, np.array([0, 1, 1])),
+    (2, np.zeros((2, 2, 1))),
+    (2, np.array(1)),
+], ids=["fewer_labels", "more_labels", "rank_3", "rank_0"])
+def test_multiclass_labels_must_align_with_the_test_rows(rows, labels):
+    with pytest.raises(ShapeError, match="do not align"):
+        log_loss_multiclass({}, np.zeros((rows, 1)), labels,
+                            lambda p, x: np.full((x.shape[0], 2), 0.5))
+
+
 @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan, np.inf])
 def test_binary_labels_must_be_zero_or_one(bad):
     x = np.ones((3, 1))

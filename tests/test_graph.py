@@ -701,6 +701,28 @@ def test_sum_adjoint_passes_through_add_to_full_shaped_terms(monkeypatch):
     assert logs == [] and broadcasts == []
 
 
+@pytest.mark.parametrize("head", ["matmul", "negate", "exp"])
+def test_sum_adjoint_broadcasts_to_a_runtime_shape(head):
+    # The summed node has an open axis.  Summing the matmul broadcasts the
+    # adjoint to the matmul value's shape, known only when the plan runs;
+    # summing its negation takes that shape through the negate; the exp's
+    # own backward term is full-shaped, so nothing is broadcast.
+    b = GraphBuilder()
+    z = b.matmul(b.placeholder("x", (None, 3)), b.variable("w", (3, 1)))
+    graph = b.build({"out": b.reduce_sum({"matmul": z, "negate": -z, "exp": b.exp(z)}[head])})
+    data = np.random.default_rng(4).standard_normal((6, 3))
+    params = {"w": np.array([[0.3], [-0.2], [0.5]])}
+    got = graph.grad("out", ["w"], {"x": data, **params})
+    adjoint = {"matmul": np.ones((6, 1)), "negate": -np.ones((6, 1)),
+               "exp": np.exp(data @ params["w"])}[head]
+    np.testing.assert_allclose(got["w"], data.T @ adjoint, rtol=1e-12)
+
+    def f(p):
+        return float(graph.eval({"x": data, **p}, ["out"])["out"])
+
+    assert_grad_close(got, finite_diff_grad(f, params), rel=1e-5, floor=1e-8)
+
+
 def _returned_gradient_graphs():
     def sum_of_vector(b):
         return b.reduce_sum(b.variable("t", (3,)))

@@ -737,16 +737,6 @@ def test_full_grad_reads_the_stored_rows_without_a_copy():
     assert peak <= 2.5 * dataset["x"].nbytes
 
 
-def test_full_grad_chunked_matches_single_pass():
-    model, dataset, _ = make_gaussian_setup(n=101, seed=3)
-    params = {"theta": np.asarray(0.21)}
-    whole = full_log_posterior_grad(model, dataset, params)["theta"]
-    chunked = full_log_posterior_grad(model, dataset, params, chunk_size=17)["theta"]
-    chunked2 = full_log_posterior_grad(model, dataset, params, chunk_size=17)["theta"]
-    assert np.array_equal(chunked, chunked2)
-    assert chunked == pytest.approx(whole, rel=1e-12)
-
-
 # -- lifecycle -------------------------------------------------------------------------
 
 def test_step_before_init_is_lifecycle_error():

@@ -7,7 +7,7 @@ Run it in each checkout and diff the two outputs:
 Every line is a label and a digest.  It covers, per model family:
 
 * 200 minibatch ``estimate_gradient`` and ``cv_gradient`` results, and the
-  unchunked and chunked ``full_log_posterior_grad``;
+  full-data ``full_log_posterior_grad``;
 * 48 in-process chains: 4 families x 6 algorithms x a scalar and a
   per-name stepsize, 60 steps each through ``run_chain``;
 * ``gen_synth`` at 20 000 rows with the family's default hyper-parameters;
@@ -88,9 +88,8 @@ def gradients(family: str) -> list[str]:
         minibatch = sample_minibatch(train, 20, rng)
         plain.add(estimate_gradient(model, params, minibatch, train.n))
         recentred.add(cv_gradient(model, params, cv, minibatch, train.n))
-    whole, chunked = Digest(), Digest()
+    whole = Digest()
     whole.add(full_log_posterior_grad(model, train, params))
-    chunked.add(full_log_posterior_grad(model, train, params, chunk_size=70))
     generated = gen_synth(family, 20_000, Rng(11))
     data = Digest()
     data.add({f"{split}.{name}": arr for split in ("train", "test")
@@ -100,7 +99,6 @@ def gradients(family: str) -> list[str]:
         f"grad {family} estimate_gradient x200 {plain.hexdigest()}",
         f"grad {family} cv_gradient x200 {recentred.hexdigest()}",
         f"grad {family} full_pass {whole.hexdigest()}",
-        f"grad {family} full_pass_chunked {chunked.hexdigest()}",
     ]
 
 

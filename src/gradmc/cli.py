@@ -163,22 +163,12 @@ def _log_loss_fn(meta, model, test: Dataset):
 
 
 class _Table(NamedTuple):
-    """One CSV per chain: its header, the iterations it keeps, and their values."""
+    """One CSV per chain: its columns after ``iter``, the iterations it keeps, and their values."""
 
     stem: str
-    comment: str | None
     columns: list[str]
     keep: Callable[[int], bool]
     value: Callable[[dict], Sequence[float]]
-
-
-def _write_table(path, table: _Table, rows: dict) -> None:
-    with open(path, "w", newline="") as handle:
-        if table.comment:
-            handle.write(table.comment + "\n")
-        handle.write(",".join(["iter", *table.columns]) + "\n")
-        for t in sorted(rows):
-            handle.write(",".join([str(t), *(f"{v:.17g}" for v in rows[t])]) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -223,12 +213,12 @@ def cmd_run(args) -> int:
         for j in range(int(np.prod(model.param_shapes[name])))
     ]
 
-    chain = _Table("chain", "# parameter columns are row-major flattened: <name>.<flat-index>",
-                   columns, lambda t: t == 0 or (t > burnin and t % thin == 0), model.flatten)
-    loss = _Table("logloss", None, ["log_loss"], lambda t: t % thin == 0,
+    chain = _Table("chain", columns, lambda t: t == 0 or (t > burnin and t % thin == 0),
+                   model.flatten)
+    loss = _Table("logloss", ["log_loss"], lambda t: t % thin == 0,
                   lambda params: [log_loss(params)])
-    mean = _Table("running_mean", "# running posterior means; columns <name>.<flat-index>",
-                  columns, lambda t: t > 0 and (t % thin == 0 or t == config.n_iters), model.flatten)
+    mean = _Table("running_mean", columns,
+                  lambda t: t > 0 and (t % thin == 0 or t == config.n_iters), model.flatten)
     tables = {
         "full-chain": [chain] if log_loss is None else [chain, loss],
         "log-loss": [loss],
@@ -264,8 +254,11 @@ def cmd_run(args) -> int:
         record(0, run_chain(model, train, init_params, config, hook=hook, rng=rng).start_params)
         suffix = "" if n_chains == 1 else f".{i}"
         for table in tables:
+            kept = rows[table.stem]
+            iters = sorted(kept)
+            values = np.array([kept[t] for t in iters]).reshape(len(iters), len(table.columns))
             path = out / f"{table.stem}{suffix}.csv"
-            _write_table(path, table, rows[table.stem])
+            save_csv_columns(path, {"iter": iters, **dict(zip(table.columns, values.T))})
             files[table.stem + suffix] = path.name
 
     elapsed = time.perf_counter() - started
@@ -342,7 +335,12 @@ def _load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            entries[key.strip().replace("-", "_")] = (lineno, value.strip())
+            key = key.strip().replace("-", "_")
+            if key in entries:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key!r} already set on line {entries[key][0]}"
+                )
+            entries[key] = (lineno, value.strip())
     return entries
 
 

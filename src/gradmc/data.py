@@ -44,6 +44,8 @@ class Rng:
 
     def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         self._sequence = (
             np.random.SeedSequence(self.seed) if _sequence is None else _sequence
         )
@@ -149,8 +151,8 @@ def resolve_minibatch_size(spec: float, n_total: int) -> int:
     A spec of exactly 1.0 counts as an absolute size of one observation.
     """
     spec = float(spec)
-    if spec <= 0.0:
-        raise DomainError(f"minibatch size spec must be positive, got {spec}")
+    if not 0.0 < spec < math.inf:
+        raise DomainError(f"minibatch size spec must be positive and finite, got {spec}")
     if spec < 1.0:
         return max(1, math.floor(spec * n_total))
     return min(int(round(spec)), n_total)
@@ -171,8 +173,9 @@ def standard_normal(rng: Rng, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange.  Header names the columns; columns named "name.1..name.k"
-# group (in suffix order) into a matrix entry, a bare column stays a vector.
+# CSV interchange.  Header names the columns; a bare column is a vector, and
+# columns "name.<i>" whose suffixes run 0..k-1 or 1..k group (in suffix order)
+# into a (rows, k) matrix.  save_csv_columns writes a matrix as name.1..name.k.
 # Values are written with 17 significant digits so files round-trip exactly.
 # ---------------------------------------------------------------------------
 
@@ -268,7 +271,8 @@ def load_csv_columns(path) -> dict[str, np.ndarray]:
     the header, each one a number that ``float()`` accepts (surrounding
     spaces, ``nan`` and ``inf`` included).  Malformed rows (wrong field
     count, unparseable numbers) are hard errors carrying the path and the
-    physical 1-based line number, comment lines counted.
+    physical 1-based line number, comment lines counted.  Columns group into
+    vectors and matrices by the rule above.
 
     numpy's C reader parses the rows; a file it rejects or reads with another
     column count (quoted cells, ``1_000``, any malformed row) is parsed again
@@ -298,37 +302,28 @@ def load_csv_columns(path) -> dict[str, np.ndarray]:
             handle.seek(0)
             table = _parse_rows(path, handle, len(header))
 
-    groups: dict[str, dict[int, int]] = {}
-    order: list[str] = []
+    # base -> {suffix: column index}; a bare name has the suffix None.
+    groups: dict[str, dict[int | None, int]] = {}
     for col, name in enumerate(header):
         match = _GROUPED.match(name)
-        if match:
-            base, suffix = match.group(1), int(match.group(2))
-            if base not in groups:
-                order.append(base)
-                groups[base] = {}
-            if suffix in groups[base] or 0 in groups[base]:
-                raise CsvFormatError(
-                    f"{path}:{header_line}: column {name!r} clashes with another {base!r} column"
-                )
-            groups[base][suffix] = col
-        else:
-            if name in groups:
-                raise CsvFormatError(f"{path}:{header_line}: duplicate column {name!r}")
-            order.append(name)
-            groups[name] = {0: col}
+        base, suffix = (match.group(1), int(match.group(2))) if match else (name, None)
+        cols = groups.setdefault(base, {})
+        if cols and (suffix is None or None in cols or suffix in cols):
+            raise CsvFormatError(
+                f"{path}:{header_line}: column {name!r} clashes with another {base!r} column"
+            )
+        cols[suffix] = col
 
     result = {}
-    for base in order:
-        cols = groups[base]
-        if 0 in cols:
-            result[base] = table[:, cols[0]]
-        else:
-            suffixes = sorted(cols)
-            if suffixes != list(range(1, len(suffixes) + 1)):
-                raise CsvFormatError(
-                    f"{path}:{header_line}: group {base!r} has gaps in its column suffixes"
-                )
-            # take() lays the matrix out row-major, as Dataset stores it.
-            result[base] = table.take([cols[s] for s in suffixes], axis=1)
+    for base, cols in groups.items():
+        if None in cols:
+            result[base] = table[:, cols[None]]
+            continue
+        suffixes = sorted(cols)
+        if suffixes[0] > 1 or suffixes[-1] - suffixes[0] != len(suffixes) - 1:
+            raise CsvFormatError(
+                f"{path}:{header_line}: group {base!r} has gaps in its column suffixes"
+            )
+        # take() lays the matrix out row-major, as Dataset stores it.
+        result[base] = table.take([cols[s] for s in suffixes], axis=1)
     return result

@@ -189,22 +189,22 @@ class SamplerConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         for name, eps in self.resolved_stepsizes(param_names).items():
-            if not eps > 0.0:
-                raise ConfigError(f"stepsize for {name!r} must be positive, got {eps}")
-        if float(self.minibatch_size) <= 0.0:
-            raise ConfigError("minibatch size must be positive")
+            if not 0.0 < eps < math.inf:
+                raise ConfigError(f"stepsize for {name!r} must be positive and finite, got {eps}")
+        if not 0.0 < float(self.minibatch_size) < math.inf:
+            raise ConfigError("minibatch size must be positive and finite")
         if self.n_iters < 0:
             raise ConfigError("n_iters must be non-negative")
         if self.trajectory_length < 1:
             raise ConfigError("trajectory_length must be at least 1")
         if not 0.0 < self.friction < 1.0:
             raise ConfigError("friction must lie in (0, 1)")
-        if not self.diffusion > 0.0:
-            raise ConfigError("diffusion must be positive")
+        if not 0.0 < self.diffusion < math.inf:
+            raise ConfigError("diffusion must be positive and finite")
         if self.algorithm in CV_ALGORITHMS:
-            if self.opt_stepsize is None or not self.opt_stepsize > 0.0:
+            if self.opt_stepsize is None or not 0.0 < self.opt_stepsize < math.inf:
                 raise ConfigError(
-                    f"{self.algorithm} needs a positive opt_stepsize for the mode search"
+                    f"{self.algorithm} needs a positive, finite opt_stepsize for the mode search"
                 )
             if self.opt_iters is not None and self.opt_iters < 1:
                 raise ConfigError("opt_iters must be at least 1")

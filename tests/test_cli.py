@@ -75,6 +75,13 @@ def test_gen_rejects_hyper_flag_the_family_does_not_take(tmp_path, capsys, model
     assert not out.exists()
 
 
+def test_gen_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert run_cli("gen", "gaussian", "--n", 20, "--seed", -1, "--out", out) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 # -- run ----------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -287,6 +294,34 @@ def test_run_running_mean_mode(mixture_data, tmp_path):
     assert rows[:, 0].astype(int).tolist() == [20, 40, 55]
 
 
+@pytest.mark.parametrize("test_function", ["full-chain", "running-mean"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_run_tables_read_back_through_load_csv_columns(tmp_path, family, test_function):
+    data = tmp_path / "data"
+    flags = ["--d", 4, "--hidden", 3, "--classes", 3] if family == "bayes_nn" else []
+    assert run_cli("gen", family, "--n", 200, "--seed", 1, *flags, "--out", data) == 0
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", data, "--algorithm", "sgld", "--stepsize", "1e-5",
+                   "--minibatch-size", 20, "--n-iters", 12, "--burnin", 0, "--thin", 4,
+                   "--test-function", test_function, "--out", out) == 0
+    model = FAMILIES[family].build(**json.loads((data / "meta.json").read_text())["hyper"])
+    widths = {name: math.prod(model.param_shapes[name]) for name in model.param_names}
+    tables = json.loads((out / "manifest.json").read_text())["files"].values()
+    for table in tables:
+        _, rows = read_chain(out / table)
+        loaded = load_csv_columns(out / table)
+        if table == "logloss.csv":
+            assert list(loaded) == ["iter", "log_loss"]
+        else:
+            assert list(loaded) == ["iter", *widths]
+            assert all(loaded[name].shape == (len(rows), k) for name, k in widths.items())
+        assert np.array_equal(np.column_stack(list(loaded.values())), rows)
+    expected = {"full-chain": ["chain.csv"], "running-mean": ["running_mean.csv"]}[test_function]
+    if test_function == "full-chain" and FAMILIES[family].label_kind:
+        expected.append("logloss.csv")
+    assert sorted(tables) == expected
+
+
 def test_run_parallel_chains_write_suffixed_files(gaussian_data, tmp_path):
     out = tmp_path / "multi"
     assert run_cli("run", "--data", gaussian_data, "--algorithm", "sgld",
@@ -400,6 +435,49 @@ def test_run_config_file_error_names_the_entry(gaussian_data, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{config}:3:" in err and "'algorithm'" in err and "'sgldx'" in err
     assert "usage:" not in err and "--algorithm" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key, line, first", [
+    ("seed = 1\nseed = 2\n", "seed", 2, 1),
+    ("n_iters = 5\n\n# again\nn-iters = 6\n", "n_iters", 4, 1),
+], ids=["same_spelling", "dash_and_underscore"])
+def test_run_config_file_rejects_a_key_set_twice(gaussian_data, tmp_path, capsys, text, key,
+                                                 line, first):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", config, "--data", gaussian_data, "--algorithm", "sgld",
+                   "--stepsize", "1e-3", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:{line}: key {key!r} already set on line {first}" in err
+    assert not out.exists()
+
+
+def test_run_negative_seed_exits_2(gaussian_data, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", gaussian_data, "--algorithm", "sgld", "--stepsize", "1e-3",
+                   "--seed", -3, "--out", out) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--algorithm", "sgld", "--stepsize", "inf"], "stepsize for 'theta' must be positive and finite"),
+    (["--algorithm", "sgldcv", "--stepsize", "1e-3", "--opt-stepsize", "inf"],
+     "sgldcv needs a positive, finite opt_stepsize"),
+    (["--algorithm", "sgnht", "--stepsize", "1e-3", "--diffusion", "inf"],
+     "diffusion must be positive and finite"),
+    (["--algorithm", "sgld", "--stepsize", "1e-3", "--minibatch-size", "nan"],
+     "minibatch size must be positive and finite"),
+    (["--algorithm", "sgld", "--stepsize", "1e-3", "--minibatch-size", "inf"],
+     "minibatch size must be positive and finite"),
+], ids=["stepsize_inf", "opt_stepsize_inf", "diffusion_inf", "minibatch_nan", "minibatch_inf"])
+def test_run_rejects_non_finite_settings(gaussian_data, tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert run_cli("run", "--data", gaussian_data, *flags, "--n-iters", 5, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not out.exists()
 
 

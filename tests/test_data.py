@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
@@ -46,6 +47,12 @@ def test_spec_capped_at_dataset_size():
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
 def test_non_positive_spec_rejected(bad):
     with pytest.raises(DomainError):
+        resolve_minibatch_size(bad, 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_spec_rejected(bad):
+    with pytest.raises(DomainError, match="positive and finite"):
         resolve_minibatch_size(bad, 10)
 
 
@@ -265,10 +272,12 @@ def test_csv_write_is_the_per_field_format_text(tmp_path):
 def test_csv_matrix_entries_are_row_major(tmp_path):
     path = tmp_path / "m.csv"
     matrix = np.arange(24.0).reshape(8, 3)
-    save_csv_columns(path, {"X": matrix, "y": np.arange(8.0)})
-    loaded = load_csv_columns(path)
-    assert loaded["X"].flags.c_contiguous
-    np.testing.assert_array_equal(loaded["X"], matrix)
+    # Written as X.1,X.2,X.3, then as X.0,X.1,X.2 (the columns gradmc run writes).
+    for entries in ({"X": matrix}, {f"X.{j}": matrix[:, j] for j in range(3)}):
+        save_csv_columns(path, {**entries, "y": np.arange(8.0)})
+        loaded = load_csv_columns(path)
+        assert loaded["X"].flags.c_contiguous
+        np.testing.assert_array_equal(loaded["X"], matrix)
 
 
 def test_csv_header_convention(tmp_path):
@@ -352,9 +361,10 @@ def test_csv_load_is_bit_identical_to_float_per_field(tmp_path, monkeypatch, tex
 
 def test_csv_gappy_group_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("X.1,X.3\n1.0,2.0\n")
-    with pytest.raises(CsvFormatError):
-        load_csv_columns(path)
+    for header in ("X.1,X.3", "X.0,X.2"):
+        path.write_text(f"{header}\n1.0,2.0\n")
+        with pytest.raises(CsvFormatError):
+            load_csv_columns(path)
 
 
 @pytest.mark.parametrize("header", ["y,y.1", "y.1,y", "y,y"])

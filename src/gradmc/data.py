@@ -205,7 +205,7 @@ def save_csv_columns(path, arrays: Mapping[str, np.ndarray]) -> None:
             n_rows = arr.shape[0]
         elif arr.shape[0] != n_rows:
             raise ShapeError(f"entry {name!r} row count differs")
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         if columns:
             # One %-format per row gives the text of a per-field f"{v:.17g}".
@@ -223,13 +223,17 @@ class _DataLines:
     """
 
     def __init__(self, handle):
+        self._path = handle.name
         self._numbered = enumerate(handle, start=1)
         self.lineno = 0
 
     def __iter__(self):
-        for self.lineno, line in self._numbered:
-            if not line.startswith("#"):
-                yield line
+        try:
+            for self.lineno, line in self._numbered:
+                if not line.startswith("#"):
+                    yield line
+        except UnicodeDecodeError as exc:  # a ValueError numpy's reader would take for a bad row
+            raise CsvFormatError(f"{self._path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _float_readable(lines):
@@ -271,14 +275,14 @@ def load_csv_columns(path) -> dict[str, np.ndarray]:
     the header, each one a number that ``float()`` accepts (surrounding
     spaces, ``nan`` and ``inf`` included).  Malformed rows (wrong field
     count, unparseable numbers) are hard errors carrying the path and the
-    physical 1-based line number, comment lines counted.  Columns group into
-    vectors and matrices by the rule above.
+    physical 1-based line number, comment lines counted; so is a file that
+    is not UTF-8, with its path.  Columns group by the rule above.
 
     numpy's C reader parses the rows; a file it rejects or reads with another
     column count (quoted cells, ``1_000``, any malformed row) is parsed again
     by the row loop, which returns the same bits or raises the error.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         lines = _DataLines(handle)
         try:
             header = next(csv.reader(lines))

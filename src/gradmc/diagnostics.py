@@ -68,9 +68,7 @@ def log_loss_binary(bias, beta, x, y) -> float:
     eta = float(np.asarray(bias).reshape(())) + x @ np.ravel(np.asarray(beta, dtype=np.float64))
     with np.errstate(over="ignore"):
         pi = 1.0 / (1.0 + np.exp(-eta))
-    # clamp the probability of each observed label, so the loss stays within
-    # [0, -ln(PROB_CLAMP)] exactly
-    return float(-np.mean(y * np.log(_clamp(pi)) + (1.0 - y) * np.log(_clamp(1.0 - pi))))
+    return log_loss_multiclass(pi, x, y, lambda p, _: np.column_stack((1.0 - p, p)))
 
 
 def log_loss_multiclass(params, x, y, forward) -> float:

@@ -48,15 +48,6 @@ __all__ = [
 ]
 
 
-def _check_hyper(owner: str, given, accepted) -> None:
-    unknown = [name for name in given if name not in accepted]
-    if unknown:
-        raise ConfigError(
-            f"{owner} takes no hyper-parameter {', '.join(map(repr, unknown))}; "
-            f"it takes {', '.join(accepted)}"
-        )
-
-
 def _hyper_parameters(build):
     """Make a builder reject a keyword it does not take with a ConfigError
     that names the ones it does, instead of Python's bare TypeError."""
@@ -64,17 +55,24 @@ def _hyper_parameters(build):
 
     @functools.wraps(build)
     def checked(*args, **hyper):
-        _check_hyper(build.__name__, hyper, accepted)
+        unknown = ", ".join(repr(name) for name in hyper if name not in accepted)
+        if unknown:
+            takes = ", ".join(accepted)
+            raise ConfigError(f"{build.__name__} takes no hyper-parameter {unknown}; it takes {takes}")
         return build(*args, **hyper)
 
     return checked
 
 
+def _check_prior_variance(prior_variance) -> None:
+    if not 0.0 < prior_variance < math.inf:
+        raise DomainError(f"prior variance must be positive and finite, got {prior_variance}")
+
+
 @_hyper_parameters
 def build_gaussian(prior_variance: float = 10.0) -> Model:
     """Unknown-mean model: x_i ~ N(theta, 1), theta ~ N(0, prior_variance)."""
-    if prior_variance <= 0.0:
-        raise DomainError("prior variance must be positive")
+    _check_prior_variance(prior_variance)
     b = GraphBuilder()
     theta = b.variable("theta", ())
     x = b.placeholder("x", (None,))
@@ -86,8 +84,7 @@ def build_gaussian(prior_variance: float = 10.0) -> Model:
 @_hyper_parameters
 def build_gaussian_mixture(prior_variance: float = 10.0) -> Model:
     """Equal-weight two-component location mixture in two dimensions."""
-    if prior_variance <= 0.0:
-        raise DomainError("prior variance must be positive")
+    _check_prior_variance(prior_variance)
     b = GraphBuilder()
     theta1 = b.variable("theta1", (2,))
     theta2 = b.variable("theta2", (2,))
@@ -174,8 +171,7 @@ def nn_forward(model: Model, params, x) -> np.ndarray:
 
 def gaussian_posterior(prior_variance: float, data) -> DiagGaussian:
     """Closed-form posterior for the gaussian family (the conjugate oracle)."""
-    if prior_variance <= 0.0:
-        raise DomainError("prior variance must be positive")
+    _check_prior_variance(prior_variance)
     x = np.asarray(data, dtype=np.float64).ravel()
     precision = x.size + 1.0 / prior_variance
     return DiagGaussian(mean=[x.sum() / precision], variance=[1.0 / precision])
@@ -204,7 +200,7 @@ class GeneratedData:
     true_params: dict
 
 
-def _gen_gaussian(n, rng: Rng, n_test: int) -> GeneratedData:
+def _gen_gaussian(n, rng: Rng, n_test: int, model: Model) -> GeneratedData:
     draws = rng.standard_normal((n + n_test,))
     draws.flags.writeable = False
     return GeneratedData(
@@ -214,7 +210,7 @@ def _gen_gaussian(n, rng: Rng, n_test: int) -> GeneratedData:
     )
 
 
-def _gen_mixture(n, rng: Rng, n_test: int) -> GeneratedData:
+def _gen_mixture(n, rng: Rng, n_test: int, model: Model) -> GeneratedData:
     total = n + n_test
     second = rng.uniform((total,)) < 0.5
     x = rng.standard_normal((total, 2))
@@ -227,7 +223,8 @@ def _gen_mixture(n, rng: Rng, n_test: int) -> GeneratedData:
     )
 
 
-def _gen_logistic(n, rng: Rng, n_test: int, d: int) -> GeneratedData:
+def _gen_logistic(n, rng: Rng, n_test: int, model: Model) -> GeneratedData:
+    d = model.param_shapes["beta"][0]
     bias, beta = logistic_true_coefficients(d)
     total = n + n_test
     x = rng.uniform((total, d))
@@ -241,7 +238,8 @@ def _gen_logistic(n, rng: Rng, n_test: int, d: int) -> GeneratedData:
     )
 
 
-def _gen_bayes_nn(n, rng: Rng, n_test: int, input_dim: int, hidden: int, classes: int) -> GeneratedData:
+def _gen_bayes_nn(n, rng: Rng, n_test: int, model: Model) -> GeneratedData:
+    input_dim, hidden, classes = *model.param_shapes["B"], model.param_shapes["A"][1]
     total = n + n_test
     x = rng.standard_normal((total, input_dim))
     true = {
@@ -302,7 +300,8 @@ class ModelFamily:
     """Registry record of a family's builder, init, and generator.
 
     The builder's keyword parameters are the family's hyper-parameters, and
-    its signature holds their defaults; the generator takes the same names.
+    its signature holds their defaults.  The generator takes ``(n, rng,
+    n_test, model)`` and reads the data's sizes from ``model.param_shapes``.
     """
 
     build: Callable[..., Model]
@@ -347,8 +346,8 @@ FAMILIES: dict[str, ModelFamily] = {
 def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -> GeneratedData:
     """Generate a reproducible synthetic train/test split for a family.
 
-    ``hyper`` takes the builder's hyper-parameter names; one left out takes
-    its default, and an unknown name raises ConfigError.
+    It builds the family's model from ``hyper``, whose builder checks each
+    name and value, and draws data of that model's sizes.
     ``n_test`` defaults to max(2, n // 5).  The train and test datasets are
     the first ``n`` and the last ``n_test`` rows of one read-only buffer per
     entry, which both hold without a copy.
@@ -357,10 +356,8 @@ def gen_synth(name: str, n: int, rng: Rng, n_test: int | None = None, **hyper) -
         raise DomainError(f"unknown model family {name!r}")
     if n < 2:
         raise DomainError("generators need n >= 2")
-    if n_test is None:
-        n_test = max(2, n // 5)
+    n_test = max(2, n // 5) if n_test is None else n_test
+    if n_test < 1:
+        raise DomainError(f"n_test must be at least 1, got {n_test}")
     family = FAMILIES[name]
-    _check_hyper(name, hyper, list(family.hyper_defaults))
-    hyper = {**family.hyper_defaults, **hyper}
-    hyper.pop("prior_variance", None)  # prior scale shapes the model, not the data
-    return family.generate(n, rng, n_test, **hyper)
+    return family.generate(n, rng, n_test, family.build(**hyper))

@@ -75,6 +75,25 @@ def test_gen_rejects_hyper_flag_the_family_does_not_take(tmp_path, capsys, model
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, flags, message", [
+    ("bayes_nn", ["--hidden", 0], "network dimensions must be positive"),
+    ("bayes_nn", ["--classes", 0], "network dimensions must be positive"),
+    ("logistic_regression", ["--d", 0], "needs at least one feature"),
+    ("gaussian", ["--prior-variance", -1], "prior variance must be positive and finite"),
+    ("gaussian", ["--prior-variance", "inf"], "prior variance must be positive and finite"),
+    ("gaussian", ["--prior-variance", "nan"], "prior variance must be positive and finite"),
+    ("gaussian", ["--n-test", -25], "n_test must be at least 1"),
+], ids=["hidden_0", "classes_0", "d_0", "prior_variance_negative", "prior_variance_inf",
+        "prior_variance_nan", "n_test_negative"])
+def test_gen_rejects_a_bad_value_before_writing(tmp_path, capsys, model, flags, message):
+    # The builder checks the values: gen exits 2 as run would, and writes nothing.
+    out = tmp_path / "data"
+    assert run_cli("gen", model, "--n", 20, *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_gen_negative_seed_exits_2(tmp_path, capsys):
     out = tmp_path / "data"
     assert run_cli("gen", "gaussian", "--n", 20, "--seed", -1, "--out", out) == 2
@@ -504,10 +523,13 @@ SGLD = ["--algorithm", "sgld", "--stepsize", "1e-3", "--n-iters", 5]
      "log-loss test function needs a classification model"),
     (SGLD, None, 2, "--data is required"),
     (["--data", "{data}", *SGLD, "--config", "{config}"], None, 2, "expected key = value"),
-    (["--data", "{data}", *SGLD], "", 4, "empty file"),
-    (["--data", "{data}", *SGLD], "x.1,,x.2\n0,1,2\n", 4, "blank column name"),
+    (["--data", "{data}", *SGLD], b"", 4, "empty file"),
+    (["--data", "{data}", *SGLD], b"x.1,,x.2\n0,1,2\n", 4, "blank column name"),
+    (["--data", "{data}", *SGLD], b"x.1,x.2\n1.0,2.0\n\xff\xfe3.0,4.0\n", 4, "train.csv: not UTF-8 text"),
+    (["--data", "{data}", *SGLD], b"x.1,x.\xff\n1.0,2.0\n", 4, "train.csv: not UTF-8 text"),
 ], ids=["no_stepsize", "thin_0", "chains_0", "log_loss_without_labels", "no_data",
-        "config_line_without_equals", "empty_train_csv", "blank_header_column"])
+        "config_line_without_equals", "empty_train_csv", "blank_header_column",
+        "non_utf8_train_row", "non_utf8_train_header"])
 def test_run_input_errors_exit_with_their_code(mixture_data, tmp_path, capsys, argv, train_csv,
                                                code, message):
     data = mixture_data
@@ -515,7 +537,7 @@ def test_run_input_errors_exit_with_their_code(mixture_data, tmp_path, capsys, a
         data = tmp_path / "data"
         data.mkdir()
         shutil.copy(mixture_data / "meta.json", data)
-        (data / "train.csv").write_text(train_csv)
+        (data / "train.csv").write_bytes(train_csv)
     config = tmp_path / "run.conf"
     config.write_text("n_iters 5\n")
     out = tmp_path / "out"

@@ -42,3 +42,19 @@ def test_every_traced_span_records_calls(tmp_path):
     calls = tracer.snapshot()["calls"]
     assert len(calls) == wrapped, sorted(calls)
     assert all(count > 0 for count in calls.values()), calls
+
+
+def test_traced_multiclass_log_loss_sees_no_logistic_run(tmp_path):
+    # The binary log loss goes through the multiclass one inside diagnostics,
+    # not through the name the tracer wraps in the CLI.
+    data_dir = tmp_path / "lr"
+    assert gradmc.cli.main(["gen", "logistic_regression", "--d", "3", "--n", "60", "--seed", "2",
+                            "--out", str(data_dir)]) == 0
+    tracer = load_tracing().Tracer().install()
+    try:
+        assert gradmc.cli.main(["run", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                                "--algorithm", "sgld", "--stepsize", "1e-4", "--minibatch-size", "10",
+                                "--n-iters", "20", "--thin", "5", "--test-function", "log-loss"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["calls"].get("log_loss", 0) == 0

@@ -40,6 +40,12 @@ class Rng:
     platform for a fixed numpy version; ``draw_count`` records how many draw
     calls the stream has served.  A stream is single-owner: never share one
     across threads, spawn children instead.
+
+    ``pending_rows`` iterates over the normal rows that a chain's noise draws
+    (``samplers``) drew ahead in a block and have not served yet, each one
+    counted in ``draw_count`` when served.  They belong to the stream, so a
+    copy of it carries them and continues the chain's noise where it stands;
+    the generator itself may run up to one block ahead of the rows served.
     """
 
     def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
@@ -51,6 +57,7 @@ class Rng:
         )
         self._generator = np.random.Generator(np.random.PCG64(self._sequence))
         self.draw_count = 0
+        self.pending_rows = iter(())
 
     def spawn(self, n: int) -> list["Rng"]:
         """Derive n independent child streams (safe for parallel chains)."""
@@ -66,7 +73,7 @@ class Rng:
 
     def indices_without_replacement(self, n_total: int, n: int) -> np.ndarray:
         self.draw_count += 1
-        return self._generator.choice(n_total, size=n, replace=False)
+        return self._generator.choice(n_total, n, False)
 
 
 class Dataset:
@@ -160,11 +167,12 @@ def resolve_minibatch_size(spec: float, n_total: int) -> int:
 
 def sample_minibatch(dataset: Dataset, n: int, rng: Rng) -> Minibatch:
     """Draw n distinct observation indices uniformly and gather those rows of every entry."""
-    if not 1 <= n <= dataset.n:
-        raise DomainError(f"minibatch size {n} outside [1, {dataset.n}]")
-    indices = rng.indices_without_replacement(dataset.n, n)
-    views = {name: arr.take(indices, axis=0) for name, arr in dataset.entries.items()}
-    return Minibatch(indices=indices, views=views)
+    n_total = dataset._n
+    if not 1 <= n <= n_total:
+        raise DomainError(f"minibatch size {n} outside [1, {n_total}]")
+    indices = rng.indices_without_replacement(n_total, n)
+    # The stored dict, not an ``entries`` proxy built on every call.
+    return Minibatch(indices, {name: arr.take(indices, 0) for name, arr in dataset._entries.items()})
 
 
 def standard_normal(rng: Rng, shape) -> np.ndarray:

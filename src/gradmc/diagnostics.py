@@ -56,15 +56,13 @@ def log_loss_binary(bias, beta, x, y) -> float:
     """Mean negative log likelihood of binary labels under a logistic predictor.
 
     ``x`` is the (n, d) test matrix, ``y`` the 0/1 labels; ``beta`` may be
-    (d,) or (d, 1).
+    (d,) or (d, 1).  ``log_loss_multiclass`` checks the labels and that the
+    test set is not empty.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.ravel(np.asarray(y, dtype=np.float64))
     if x.ndim != 2 or y.shape[0] != x.shape[0]:
         raise ShapeError(f"test set shapes {x.shape} and {y.shape} do not align")
-    if x.shape[0] == 0:
-        raise DomainError("log loss needs a non-empty test set")
-    class_indices(y, 2)
     eta = float(np.asarray(bias).reshape(())) + x @ np.ravel(np.asarray(beta, dtype=np.float64))
     with np.errstate(over="ignore"):
         pi = 1.0 / (1.0 + np.exp(-eta))

@@ -65,6 +65,16 @@ def as_tensor(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _extent(what: str, d) -> int:
+    """An extent as an int, or ShapeError if it is not a whole number."""
+    try:
+        if int(d) == d:
+            return int(d)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ShapeError(f"{what}: extent {d!r} is not a whole number")
+
+
 def _dims_compatible(declared, given) -> bool:
     return len(declared) == len(given) and all(d is None or d == g for d, g in zip(declared, given))
 
@@ -281,7 +291,7 @@ class GraphBuilder:
         return self._append("constant", (), arr.shape, {"value": arr})
 
     def variable(self, name: str, shape: Sequence[int]) -> NodeRef:
-        shape = tuple(int(d) for d in shape)
+        shape = tuple(_extent(f"variable {name!r}", d) for d in shape)
         if any(d < 0 for d in shape):
             raise ShapeError(f"variable {name!r}: negative extent in {shape}")
         self._check_leaf_name(name)
@@ -290,7 +300,7 @@ class GraphBuilder:
         return ref
 
     def placeholder(self, name: str, shape: Sequence) -> NodeRef:
-        shape = tuple(None if d is None else int(d) for d in shape)
+        shape = tuple(None if d is None else _extent(f"placeholder {name!r}", d) for d in shape)
         if any(d is None for d in shape[1:]):
             raise ShapeError(
                 f"placeholder {name!r}: only the first axis may be open, got {shape}"

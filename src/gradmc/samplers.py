@@ -12,11 +12,13 @@ removes most of the minibatch noise near the mode.
 
 A chain keeps its parameters (and momenta) in one contiguous float64 vector,
 laid out by ``Model.flatten`` in sorted name order, so each update is a few
-whole-vector operations with one noise draw over the whole vector.  That draw
-is bit-identical to one draw per parameter in sorted name order.  The chain
-binds its gradient plan once over that vector, and gets one flat gradient
-per minibatch, bit for bit :func:`estimate_gradient`; a control-variate chain
-binds it again over the mode, bit for bit :func:`cv_gradient`.
+whole-vector operations with one row of noise over the whole vector.  The
+rows are drawn from the noise stream in blocks of about 64 KiB; a block
+holds the bits of as many one-row draws, and a row those of one draw per
+parameter in sorted name order.  The chain binds its gradient plan once over
+that vector, and gets one flat gradient per minibatch, bit for bit
+:func:`estimate_gradient`; a control-variate chain binds one function over
+the chain's vector and the mode, bit for bit :func:`cv_gradient`.
 
 Randomness is consumed in a fixed, documented order - minibatch indices from
 one spawned substream, injected noise from another - so chains are
@@ -62,6 +64,9 @@ CV_ALGORITHMS = ("sgldcv", "sghmccv", "sgnhtcv")
 # Reserved placeholder that scales the minibatch log likelihood inside the
 # combined objective, so one backward pass yields the whole gradient estimate.
 _SCALE = "__grad_scale__"
+
+# A chain draws its noise rows in blocks of this many float64 values (64 KiB), or one row.
+_NOISE_BLOCK_VALUES = 8192
 
 
 class Model:
@@ -222,16 +227,17 @@ class ChainState:
 
     The constructor resolves the config once per chain: ``stepsizes`` maps
     each parameter to its stepsize, ``eps`` repeats it per element in the
-    flat layout, ``noise_scale`` is the per-element standard deviation of an
-    update's injected noise (sqrt of eps for sgld, of 2*friction*eps for
-    sghmc, of 2*diffusion*eps for sgnht), and ``minibatch_count`` is the
-    minibatch size in rows.  It does not validate them; ``SamplerHandle``
-    does.  ``gradient`` maps a minibatch's rows to the flat gradient
-    estimate at ``theta``; given ``cv``, to the full gradient plus the
-    difference of the estimates at ``theta`` and at the mode on those rows.
-    Minibatch indices and injected noise come from two separate streams
-    (spawned from the chain's root stream) so noise sequences stay aligned
-    across runs that differ only in minibatch layout.
+    flat layout and ``half_eps`` halves it, ``noise_scale`` is the
+    per-element standard deviation of an update's injected noise (sqrt of
+    eps for sgld, of 2*friction*eps for sghmc, of 2*diffusion*eps for
+    sgnht), and ``minibatch_count`` is the minibatch size in rows.  It does
+    not validate them; ``SamplerHandle`` does.  ``gradient`` maps a
+    minibatch's rows to the flat gradient estimate at ``theta``; given
+    ``cv``, to the full gradient plus the difference of the estimates at
+    ``theta`` and at the mode on those rows.  Minibatch indices and injected
+    noise come from two separate streams (spawned from the chain's root
+    stream) so noise sequences stay aligned across runs that differ only in
+    minibatch layout.
     """
 
     def __init__(self, model: Model, dataset: Dataset, config: SamplerConfig, params,
@@ -254,14 +260,11 @@ class ChainState:
         self.stepsizes = config.resolved_stepsizes(model.param_names)
         self.eps = model.flatten({name: np.full(shape, self.stepsizes[name])
                                   for name, shape in model.param_shapes.items()})
+        self.half_eps = 0.5 * self.eps
         rate = {"sghmc": 2.0 * config.friction, "sgnht": 2.0 * config.diffusion}.get(family)
         self.noise_scale = np.sqrt(self.eps if rate is None else rate * self.eps)
         self.minibatch_count = resolve_minibatch_size(config.minibatch_size, dataset.n)
-        self.gradient = here = _bind_gradient(model, dataset, self.minibatch_count, self.theta)
-        if cv is not None:
-            at_mode = _bind_gradient(model, dataset, self.minibatch_count, model.flatten(cv.mode_params))
-            full = model.flatten(cv.full_grad)
-            self.gradient = lambda rows: full + (here(rows) - at_mode(rows))
+        self.gradient = _bind_gradient(model, dataset, self.minibatch_count, self.theta, cv)
 
 
 @dataclass(frozen=True)
@@ -298,33 +301,48 @@ def cv_gradient(model: Model, params, cv: ControlVariateState, minibatch: Miniba
     return {name: cv.full_grad[name] + (here[name] - at_mode[name]) for name in model.param_names}
 
 
-def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray) -> Callable[[Mapping], np.ndarray]:
+def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray,
+                   cv: ControlVariateState | None = None) -> Callable[[Mapping], np.ndarray]:
     """The flat gradient estimate at ``theta`` as a function of an n-row minibatch's rows.
 
-    Bit for bit ``estimate_gradient``.  A call reads each rank-0 parameter
-    from ``theta`` as a numpy scalar; every other parameter is a view of
-    ``theta``, and the scale N/n is a constant.  The data's shapes are
-    checked here, once.
+    Bit for bit ``estimate_gradient``; given ``cv``, bit for bit
+    ``cv_gradient``: the full gradient plus the difference of the estimates
+    at ``theta`` and at the mode, in that order, from one call.  A call reads
+    each rank-0 parameter from its point as a numpy scalar; every other
+    parameter is a view of it, and the scale N/n is a constant.  The data's
+    shapes are checked here, once.
     """
     leaves, body = model.graph._grad_plan("objective", model.param_names)
-    fixed = {**model.views(theta), _SCALE: np.asarray(dataset.n / n)}
-    ns = {"_body": body, "_theta": theta}
-    args = []
+    points = [theta] if cv is None else [theta, model.flatten(cv.mode_params)]
+    ns = {"_body": body, "_scale": np.asarray(dataset.n / n)[()]}  # rank-0 as a numpy scalar
+    lines, args = [], [[] for _ in points]
     for k, leaf in enumerate(leaves):
         name = leaf.attrs["name"]
-        if name in model.param_shapes and leaf.shape == ():
-            args.append(f"_theta[{model._layout[name][0].start}]")
-        elif name in fixed:
-            ns[f"_a{k}"] = fixed[name][()]  # rank-0 as a numpy scalar
-            args.append(f"_a{k}")
+        if name in model.param_shapes:
+            scalar = leaf.shape == ()
+            for p, point in enumerate(points):
+                ns[f"_p{p}_{k}"] = point if scalar else model.views(point)[name]
+                args[p].append(f"_p{p}_{k}[{model._layout[name][0].start}]" if scalar else f"_p{p}_{k}")
+            continue
+        if name == _SCALE:
+            value = "_scale"
         elif name not in dataset:
             raise MissingFeed(f"no binding supplied for leaf {name!r}")
-        else:
+        else:  # data, read from the rows once
             rows = (n,) + dataset[name].shape[1:]
             shape = model.graph._conformed_shape(leaf, rows)
             ns[f"_a{k}"], ns[f"_s{k}"] = name, shape
-            args.append(f"rows[_a{k}]" + ("" if shape == rows else f".reshape(_s{k})"))
-    source = f"def gradient(rows):\n    return _body({', '.join(args)})\n"
+            lines.append(f"d{k} = rows[_a{k}]" + ("" if shape == rows else f".reshape(_s{k})"))
+            value = f"d{k}"
+        for point_args in args:
+            point_args.append(value)
+    calls = [f"_body({', '.join(point_args)})" for point_args in args]
+    if cv is None:
+        lines.append(f"return {calls[0]}")
+    else:
+        ns["_full"] = model.flatten(cv.full_grad)
+        lines.append(f"return _full + ({calls[0]} - {calls[1]})")
+    source = "def gradient(rows):\n" + "".join(f"    {line}\n" for line in lines)
     exec(compile(source, "<gradmc bound gradient>", "exec"), ns)
     return ns["gradient"]
 
@@ -360,12 +378,41 @@ def _check_finite(model: Model, flat: np.ndarray, iteration: int, what: str) -> 
     )
 
 
-def _draw_gradient(state: ChainState, model, dataset) -> np.ndarray:
-    minibatch = sample_minibatch(dataset, state.minibatch_count, state.rng_batch)
-    grad = state.gradient(minibatch.views)
+def _accept(model: Model, theta: np.ndarray, candidate: np.ndarray, grad: np.ndarray,
+            iteration: int, what: str = "") -> None:
+    """Write a gradient step's candidate into ``theta`` after one finiteness test of it.
+
+    A non-finite gradient element gives a non-finite candidate element, so a
+    failing candidate is traced to the gradient first: the error is the one
+    that testing the gradient and then the parameters raises, and ``theta``
+    keeps its last finite value.
+    """
+    if np.count_nonzero(np.isfinite(candidate)) != candidate.size:
+        _check_finite(model, grad, iteration, what + "gradient")
+        _check_finite(model, candidate, iteration, what + "parameter")
+    theta[...] = candidate
+
+
+def _draw_gradient(state: ChainState, dataset) -> np.ndarray:
+    grad = state.gradient(sample_minibatch(dataset, state.minibatch_count, state.rng_batch).views)
     state.grad_evals += 1
-    _check_finite(model, grad, state.iteration, "gradient")
     return grad
+
+
+def _noise(rng: Rng, size: int) -> np.ndarray:
+    """The noise stream's next ``size`` standard normals: the bits of its next ``(size,)`` draw.
+
+    PCG64 fills a ``(k, size)`` block with the bits of k consecutive
+    ``(size,)`` draws, so one ``standard_normal`` call draws a block of rows
+    into ``rng.pending_rows``; each row counts as one draw when served.
+    Pending rows of another size are dropped.
+    """
+    row = next(rng.pending_rows, None)
+    if row is None or row.size != size:
+        rng.pending_rows = iter(standard_normal(rng, (max(1, _NOISE_BLOCK_VALUES // max(1, size)), size)))
+        return next(rng.pending_rows)  # counted by the block's draw
+    rng.draw_count += 1
+    return row
 
 
 # The kernels write each update into ``state.theta`` and ``state.momentum``
@@ -374,11 +421,10 @@ def _draw_gradient(state: ChainState, model, dataset) -> np.ndarray:
 
 def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
     """One overdamped Langevin update: half a gradient step plus N(0, eps) noise."""
-    eps = state.eps
-    grad = _draw_gradient(state, model, dataset)
-    noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
-    state.theta[...] = state.theta + 0.5 * eps * grad + noise
-    _check_finite(model, state.theta, state.iteration, "parameter")
+    grad = _draw_gradient(state, dataset)
+    candidate = state.theta + state.half_eps * grad
+    candidate += _noise(state.rng_noise, grad.size) * state.noise_scale
+    _accept(model, state.theta, candidate, grad, state.iteration)
     state.iteration += 1
     return state
 
@@ -395,11 +441,12 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     """
     eps = state.eps
     alpha = config.friction
-    state.momentum[...] = standard_normal(state.rng_noise, eps.shape) * np.sqrt(eps)
+    state.momentum[...] = _noise(state.rng_noise, eps.size) * np.sqrt(eps)
     for _ in range(config.trajectory_length):
         state.theta += state.momentum
-        grad = _draw_gradient(state, model, dataset)
-        noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
+        grad = _draw_gradient(state, dataset)
+        _check_finite(model, grad, state.iteration, "gradient")
+        noise = _noise(state.rng_noise, eps.size) * state.noise_scale
         state.momentum[...] = (1.0 - alpha) * state.momentum + eps * grad + noise
     _check_finite(model, state.theta, state.iteration, "parameter")
     state.iteration += 1
@@ -415,8 +462,9 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     """
     eps = state.eps
     state.theta += state.momentum
-    grad = _draw_gradient(state, model, dataset)
-    noise = standard_normal(state.rng_noise, eps.shape) * state.noise_scale
+    grad = _draw_gradient(state, dataset)
+    _check_finite(model, grad, state.iteration, "gradient")
+    noise = _noise(state.rng_noise, eps.size) * state.noise_scale
     # Each parameter's thermostat spread over its segment of the momentum.
     decay = np.empty_like(eps)
     for name, part in model.views(decay).items():
@@ -453,9 +501,7 @@ def find_mode(
     gradient = _bind_gradient(model, dataset, n, theta)
     for t in range(opt_iters):
         grad = gradient(sample_minibatch(dataset, n, rng).views)
-        _check_finite(model, grad, t, "optimizer gradient")
-        theta += opt_stepsize * grad
-        _check_finite(model, theta, t, "optimizer parameter")
+        _accept(model, theta, theta + opt_stepsize * grad, grad, t, "optimizer ")
     return model.views(theta)
 
 
@@ -510,7 +556,7 @@ class SamplerHandle:
         state = ChainState(self.model, self.dataset, config, start, rng_batch, rng_noise, cv=self.cv)
         family = config.algorithm.removesuffix("cv")
         if family == "sgnht":
-            state.momentum[...] = standard_normal(rng_noise, state.eps.shape) * np.sqrt(state.eps)
+            state.momentum[...] = _noise(rng_noise, state.eps.size) * np.sqrt(state.eps)
         self._kernel = _KERNELS[family]
         self.state = state
         return self
@@ -560,14 +606,15 @@ def run_chain(model, dataset, initial_params, config, hook=None, rng=None) -> Ch
     """
     handle = sampler_setup(model, dataset, initial_params, config, rng=rng).init()
     start = handle.get_params()
-    rows = np.empty((config.n_iters, handle.state.theta.size)) if hook is None else None
+    theta = handle.state.theta
+    rows = np.empty((config.n_iters, theta.size)) if hook is None else None
     hook_values = None if hook is None else []
     for t in range(config.n_iters):
         handle.step()
         if hook is None:
-            rows[t] = handle.state.theta
+            rows[t] = theta
         else:
-            value = hook(handle.get_params())
+            value = hook(model.views(theta.copy()))  # get_params() without its lifecycle check
             if value is not None:
                 hook_values.append(value)
     return ChainOutput(

@@ -72,6 +72,20 @@ def test_duplicate_leaf_name_rejected():
         b.placeholder("x", (None,))
 
 
+@pytest.mark.parametrize("extent", [2.7, 1.5, float("nan"), float("inf"), "3"])
+def test_extents_that_are_not_whole_numbers_rejected(extent):
+    with pytest.raises(ShapeError, match="not a whole number"):
+        GraphBuilder().variable("w", (extent,))
+    with pytest.raises(ShapeError, match="not a whole number"):
+        GraphBuilder().placeholder("x", (None, extent))
+    # A variable has no open axis.
+    with pytest.raises(ShapeError, match="not a whole number"):
+        GraphBuilder().variable("w", (None,))
+    # A whole number of any numeric type is an extent.
+    assert GraphBuilder().variable("w", (np.int64(3), 2.0)).shape == (3, 2)
+    assert GraphBuilder().placeholder("x", (None, np.int32(4))).shape == (None, 4)
+
+
 def test_graph_frozen_after_build():
     b = GraphBuilder()
     x = b.variable("x", ())

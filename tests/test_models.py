@@ -11,6 +11,7 @@ from gradmc import (
     DomainError,
     Minibatch,
     Rng,
+    ShapeError,
     build_bayes_nn,
     build_gaussian,
     build_gaussian_mixture,
@@ -323,6 +324,15 @@ def test_nn_generator_labels_in_range():
     data = gen_synth("bayes_nn", 100, Rng(5), n_test=10, input_dim=6, hidden=4, classes=3)
     labels = data.train["y"]
     assert set(np.unique(labels)).issubset({0.0, 1.0, 2.0})
+
+
+def test_builders_reject_sizes_that_are_not_whole_numbers():
+    # The graph refuses to truncate a size: 2.5 features is not 2.
+    with pytest.raises(ShapeError, match="not a whole number"):
+        gen_synth("logistic_regression", 10, Rng(1), d=2.5)
+    with pytest.raises(ShapeError, match="not a whole number"):
+        build_bayes_nn(hidden=1.5)
+    assert build_logistic_regression(d=3.0).param_shapes["beta"] == (3, 1)
 
 
 def test_generator_rejects_unknown_family_and_tiny_n():

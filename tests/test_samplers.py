@@ -454,6 +454,67 @@ def test_flat_kernels_match_the_per_parameter_loops_bit_for_bit(algorithm):
     assert handle.state.thermostats == thermostats
 
 
+@pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
+def test_noise_block_refills_match_the_per_parameter_loops_bit_for_bit(algorithm, monkeypatch):
+    # 2087 parameters: a noise block holds 3 rows, so 10 steps cross several
+    # refills (sgld serves 10 rows, sgnht 11, sghmc 60).
+    spec = FAMILIES["bayes_nn"]
+    hyper = {"input_dim": 100, "hidden": 20, "classes": 3}
+    model = spec.build(**hyper)
+    dataset = gen_synth("bayes_nn", 200, Rng(8), **hyper).train
+    init = spec.init_params(model, Rng(9))
+    stepsize = {name: 1e-5 * (1 + k) for k, name in enumerate(model.param_names)}
+    config = SamplerConfig(algorithm=algorithm, stepsize=stepsize, minibatch_size=20, seed=12,
+                           trajectory_length=5)
+    blocks = []
+    reference = gradmc.samplers.standard_normal
+
+    def counted(rng, shape):
+        blocks.append(shape)
+        return reference(rng, shape)
+
+    monkeypatch.setattr(gradmc.samplers, "standard_normal", counted)
+    handle = sampler_setup(model, dataset, init, config).init()
+    for _ in range(10):
+        handle.step()
+    size = handle.state.theta.size
+    served = {"sgld": 10, "sghmc": 10 * (1 + 5), "sgnht": 1 + 10}[algorithm]
+    assert size == 2087 and set(blocks) == {(3, size)} and len(blocks) == -(-served // 3) >= 3
+    assert handle.state.rng_noise.draw_count == served
+    monkeypatch.undo()
+    params, momenta, thermostats = _per_parameter_chain(model, dataset, init, config, 10)
+    for name in model.param_names:
+        assert handle.state.params[name].tobytes() == np.asarray(params[name]).tobytes(), name
+        if momenta is not None:
+            assert handle.state.momenta[name].tobytes() == np.asarray(momenta[name]).tobytes(), name
+    assert handle.state.thermostats == thermostats
+
+
+def test_a_copy_of_the_noise_stream_continues_the_chain_mid_block():
+    # The rows drawn ahead belong to the stream, so a state built on copies
+    # of a running chain's streams walks on exactly as the chain does.
+    model, dataset, _ = make_gaussian_setup(n=40, seed=3)
+    config = SamplerConfig(algorithm="sgld", stepsize=1e-3, minibatch_size=10, seed=6)
+    handle = sampler_setup(model, dataset, {"theta": 0.1}, config).init()
+    for _ in range(7):
+        handle.step()
+    start = handle.state
+    copied = ChainState(model, dataset, config, start.params, rng_batch=copy.deepcopy(start.rng_batch),
+                        rng_noise=copy.deepcopy(start.rng_noise))
+    for _ in range(5):
+        handle.step()
+        sgld_step(copied, model, dataset, config)
+        assert copied.params["theta"].tobytes() == handle.state.params["theta"].tobytes()
+
+
+def test_a_noise_stream_shared_across_sizes_serves_rows_of_the_asked_size():
+    # Rows a one-parameter chain left pending are not served to a wider one.
+    rng = Rng(3)
+    assert gradmc.samplers._noise(rng, 1).shape == (1,)
+    assert gradmc.samplers._noise(rng, 3).shape == (3,)
+    assert rng.draw_count == 2
+
+
 # -- control variates ---------------------------------------------------------------
 
 def test_cv_gradient_bit_equal_at_mode():
@@ -1001,6 +1062,51 @@ def test_divergence_carries_iteration_and_param():
         run_chain(model, dataset, {"theta": 0.0}, config)
     assert excinfo.value.param == "theta"
     assert excinfo.value.iteration is not None
+
+
+def _scaled_data_model():
+    """Log posterior sum(x) * theta: the gradient is N times the minibatch mean of x."""
+    b = GraphBuilder()
+    theta = b.variable("theta", ())
+    return Model(b, log_lik=b.reduce_sum(b.placeholder("x", (None,))) * theta)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_blames_the_gradient_first_then_the_parameter():
+    model = _scaled_data_model()
+    config = SamplerConfig(algorithm="sgld", stepsize=1e10, minibatch_size=2)
+    # An infinite gradient: the "gradient" error, and theta is left as it was.
+    infinite = Dataset({"x": np.full(4, np.inf)})
+    state = ChainState(model, infinite, config, {"theta": np.asarray(0.5)}, **_streams(1))
+    with pytest.raises(NumericalDivergence) as excinfo:
+        sgld_step(state, model, infinite, config)
+    assert str(excinfo.value) == "non-finite gradient for parameter 'theta' at iteration 0"
+    assert excinfo.value.param == "theta" and excinfo.value.iteration == 0
+    assert state.params["theta"] == 0.5 and state.iteration == 0
+    # A finite gradient of 4e300 times half of 1e10 overflows the update.
+    big = Dataset({"x": np.full(4, 1e300)})
+    state = ChainState(model, big, config, {"theta": np.asarray(0.5)}, **_streams(1))
+    with pytest.raises(NumericalDivergence) as excinfo:
+        sgld_step(state, model, big, config)
+    assert str(excinfo.value) == "non-finite parameter for parameter 'theta' at iteration 0"
+    assert excinfo.value.param == "theta" and excinfo.value.iteration == 0
+    # The mode search raises the same two errors, at the iteration it reached.
+    for data, what in ((np.full(4, np.inf), "gradient"), (np.full(4, 1e300), "parameter")):
+        with pytest.raises(NumericalDivergence) as excinfo:
+            find_mode(model, Dataset({"x": data}), {"theta": 0.5}, 1e10, 5, 2, Rng(0))
+        assert str(excinfo.value) == f"non-finite optimizer {what} for parameter 'theta' at iteration 0"
+        assert excinfo.value.param == "theta" and excinfo.value.iteration == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_sgld_update_leaves_theta_at_its_last_finite_value():
+    model = _scaled_data_model()
+    config = SamplerConfig(algorithm="sgld", stepsize=1e10, minibatch_size=2)
+    big = Dataset({"x": np.full(4, 1e300)})
+    state = ChainState(model, big, config, {"theta": np.asarray(0.5)}, **_streams(1))
+    with pytest.raises(NumericalDivergence):
+        sgld_step(state, model, big, config)
+    assert state.params["theta"] == 0.5
 
 
 def test_divergence_names_the_first_non_finite_tensor_in_sorted_order():

@@ -10,6 +10,9 @@ Every line is a label and a digest.  It covers, per model family:
   full-data ``full_log_posterior_grad``;
 * 48 in-process chains: 4 families x 6 algorithms x a scalar and a
   per-name stepsize, 60 steps each through ``run_chain``;
+* sgld and sghmc chains on a 2087-parameter ``bayes_nn``, whose noise rows
+  are drawn 3 to a block, so 12 sgld steps cross 3 block refills and 12
+  sghmc steps 23 (printed last);
 * ``gen_synth`` at 20 000 rows with the family's default hyper-parameters;
 * the files ``gradmc gen`` writes, and the CSVs and manifest of
   ``gradmc run`` over 4 families x 6 algorithms, plus one ``running-mean``
@@ -125,6 +128,23 @@ def chains(family: str) -> list[str]:
     return lines
 
 
+def refill_chains() -> list[str]:
+    hyper = {"input_dim": 100, "hidden": 20, "classes": 3}
+    spec = FAMILIES["bayes_nn"]
+    model = spec.build(**hyper)
+    train = gen_synth("bayes_nn", 200, Rng(3), n_test=10, **hyper).train
+    init = spec.init_params(model, Rng(6))
+    lines = []
+    for algorithm in ("sgld", "sghmc"):
+        config = SamplerConfig(algorithm=algorithm, stepsize=1e-5, minibatch_size=20, n_iters=12, seed=7)
+        out = run_chain(model, train, init, config)
+        digest = Digest()
+        digest.add(out.samples)
+        digest.add({"momentum": [] if out.final_state.momentum is None else out.final_state.momentum})
+        lines.append(f"chain bayes_nn-2087 {algorithm} {digest.hexdigest()}")
+    return lines
+
+
 def file_digest(path: Path) -> str:
     if path.name == "manifest.json":
         manifest = json.loads(path.read_text())
@@ -180,6 +200,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for family in families:
             print(*cli_runs(family, Path(tmp)), sep="\n")
+    print(*refill_chains(), sep="\n")
     return 0
 
 

@@ -54,12 +54,9 @@ from .samplers import (
     Model,
     SamplerConfig,
     SamplerHandle,
-    cv_gradient,
-    estimate_gradient,
     find_mode,
     full_log_posterior_grad,
     run_chain,
-    sampler_setup,
     sghmc_step,
     sgld_step,
     sgnht_step,

@@ -147,10 +147,6 @@ class Minibatch(NamedTuple):
     indices: np.ndarray
     views: dict
 
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
 
 def resolve_minibatch_size(spec: float, n_total: int) -> int:
     """Turn a size spec into a count: below 1 it is a proportion of the data.

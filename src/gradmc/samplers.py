@@ -17,8 +17,8 @@ rows are drawn from the noise stream in blocks of about 64 KiB; a block
 holds the bits of as many one-row draws, and a row those of one draw per
 parameter in sorted name order.  The chain binds its gradient plan once over
 that vector, and gets one flat gradient per minibatch, bit for bit
-:func:`estimate_gradient`; a control-variate chain binds one function over
-the chain's vector and the mode, bit for bit :func:`cv_gradient`.
+``Graph.grad`` of ``objective`` at scale N/n; a control-variate chain binds
+one function over the chain's vector and the mode.
 
 Randomness is consumed in a fixed, documented order - minibatch indices from
 one spawned substream, injected noise from another - so chains are
@@ -35,7 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .data import Dataset, Minibatch, Rng, resolve_minibatch_size, sample_minibatch, standard_normal
+from .data import Dataset, Rng, resolve_minibatch_size, sample_minibatch, standard_normal
 from .errors import ConfigError, LifecycleError, MissingFeed, NumericalDivergence, ShapeError
 from .graph import Graph, GraphBuilder, NodeRef, as_tensor
 
@@ -47,14 +47,11 @@ __all__ = [
     "ChainOutput",
     "SamplerHandle",
     "ALGORITHMS",
-    "estimate_gradient",
-    "cv_gradient",
     "sgld_step",
     "sghmc_step",
     "sgnht_step",
     "find_mode",
     "full_log_posterior_grad",
-    "sampler_setup",
     "run_chain",
 ]
 
@@ -227,17 +224,18 @@ class ChainState:
 
     The constructor resolves the config once per chain: ``stepsizes`` maps
     each parameter to its stepsize, ``eps`` repeats it per element in the
-    flat layout and ``half_eps`` halves it, ``noise_scale`` is the
-    per-element standard deviation of an update's injected noise (sqrt of
-    eps for sgld, of 2*friction*eps for sghmc, of 2*diffusion*eps for
-    sgnht), and ``minibatch_count`` is the minibatch size in rows.  It does
-    not validate them; ``SamplerHandle`` does.  ``gradient`` maps a
-    minibatch's rows to the flat gradient estimate at ``theta``; given
-    ``cv``, to the full gradient plus the difference of the estimates at
-    ``theta`` and at the mode on those rows.  Minibatch indices and injected
-    noise come from two separate streams (spawned from the chain's root
-    stream) so noise sequences stay aligned across runs that differ only in
-    minibatch layout.
+    flat layout, ``half_eps`` halves it, ``sqrt_eps`` (a momentum draw's
+    scale) is its square root, ``noise_scale`` the per-element standard
+    deviation of an update's injected noise (sqrt of eps for sgld, of
+    2*friction*eps for sghmc, of 2*diffusion*eps for sgnht), and
+    ``minibatch_count`` the minibatch size in rows.  It does not validate
+    them; ``SamplerHandle`` does.  ``gradient`` maps a minibatch's rows to
+    the flat gradient estimate at ``theta``, bit for bit ``Graph.grad`` of
+    ``objective`` at scale N/n; given ``cv``, to the full gradient plus the
+    difference of the estimates at ``theta`` and at the mode on those rows.
+    Minibatch indices and injected noise come from two separate streams
+    (spawned from the chain's root stream) so noise sequences stay aligned
+    across runs that differ only in minibatch layout.
     """
 
     def __init__(self, model: Model, dataset: Dataset, config: SamplerConfig, params,
@@ -261,8 +259,9 @@ class ChainState:
         self.eps = model.flatten({name: np.full(shape, self.stepsizes[name])
                                   for name, shape in model.param_shapes.items()})
         self.half_eps = 0.5 * self.eps
+        self.sqrt_eps = np.sqrt(self.eps)
         rate = {"sghmc": 2.0 * config.friction, "sgnht": 2.0 * config.diffusion}.get(family)
-        self.noise_scale = np.sqrt(self.eps if rate is None else rate * self.eps)
+        self.noise_scale = self.sqrt_eps if rate is None else np.sqrt(rate * self.eps)
         self.minibatch_count = resolve_minibatch_size(config.minibatch_size, dataset.n)
         self.gradient = _bind_gradient(model, dataset, self.minibatch_count, self.theta, cv)
 
@@ -275,39 +274,13 @@ class ControlVariateState:
     full_grad: dict[str, np.ndarray]
 
 
-def estimate_gradient(model: Model, params, minibatch: Minibatch, n_total: int) -> dict[str, np.ndarray]:
-    """Unbiased log-posterior gradient from one minibatch.
-
-    Computes the prior gradient plus (N/n) times the minibatch likelihood
-    gradient in a single reverse pass over the combined objective.
-    """
-    bindings = dict(minibatch.views)
-    bindings.update(params)
-    bindings[_SCALE] = n_total / minibatch.size
-    return model.graph.grad("objective", model.param_names, bindings)
-
-
-def cv_gradient(model: Model, params, cv: ControlVariateState, minibatch: Minibatch,
-                n_total: int) -> dict[str, np.ndarray]:
-    """Control-variate gradient estimate.
-
-    Full gradient at the mode, recentred by the difference of the minibatch
-    estimates at the current point and at the mode - both on the SAME
-    minibatch, so the two noisy terms cancel exactly when params equal the
-    mode.  The two estimates are two ``estimate_gradient`` calls.
-    """
-    here = estimate_gradient(model, params, minibatch, n_total)
-    at_mode = estimate_gradient(model, cv.mode_params, minibatch, n_total)
-    return {name: cv.full_grad[name] + (here[name] - at_mode[name]) for name in model.param_names}
-
-
 def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray,
                    cv: ControlVariateState | None = None) -> Callable[[Mapping], np.ndarray]:
     """The flat gradient estimate at ``theta`` as a function of an n-row minibatch's rows.
 
-    Bit for bit ``estimate_gradient``; given ``cv``, bit for bit
-    ``cv_gradient``: the full gradient plus the difference of the estimates
-    at ``theta`` and at the mode, in that order, from one call.  A call reads
+    Bit for bit ``Graph.grad`` of ``objective`` with the rows bound and the
+    scale at N/n; given ``cv``, the full gradient plus the difference of two
+    such gradients, at ``theta`` and at the mode, from one call.  A call reads
     each rank-0 parameter from its point as a numpy scalar; every other
     parameter is a view of it, and the scale N/n is a constant.  The data's
     shapes are checked here, once.
@@ -351,7 +324,7 @@ def full_log_posterior_grad(model: Model, dataset: Dataset, params) -> dict[str,
     """Exact full-data log-posterior gradient.
 
     One pass over the whole dataset in natural row order, bit-identical to
-    ``estimate_gradient`` with a full batch in that order.  The pass reads
+    the chain's bound gradient over all N rows in that order.  The pass reads
     the dataset's stored arrays themselves, with the likelihood scale at
     n / n = 1: it gathers no copy of the rows.
     """
@@ -416,7 +389,8 @@ def _noise(rng: Rng, size: int) -> np.ndarray:
 
 
 # The kernels write each update into ``state.theta`` and ``state.momentum``
-# in place, so the named views follow.  Each formula runs in the order of the
+# in place, so the named views follow; a step that raises leaves them and
+# the thermostats as they were.  Each formula runs in the order of the
 # scalar one, so every element gets the bits the scalar formula gives it.
 
 def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
@@ -441,14 +415,20 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     """
     eps = state.eps
     alpha = config.friction
-    state.momentum[...] = _noise(state.rng_noise, eps.size) * np.sqrt(eps)
-    for _ in range(config.trajectory_length):
-        state.theta += state.momentum
-        grad = _draw_gradient(state, dataset)
-        _check_finite(model, grad, state.iteration, "gradient")
-        noise = _noise(state.rng_noise, eps.size) * state.noise_scale
-        state.momentum[...] = (1.0 - alpha) * state.momentum + eps * grad + noise
-    _check_finite(model, state.theta, state.iteration, "parameter")
+    start = state.theta.copy()
+    momentum = _noise(state.rng_noise, eps.size) * state.sqrt_eps
+    try:
+        for _ in range(config.trajectory_length):
+            state.theta += momentum
+            grad = _draw_gradient(state, dataset)
+            _check_finite(model, grad, state.iteration, "gradient")
+            noise = _noise(state.rng_noise, eps.size) * state.noise_scale
+            momentum = (1.0 - alpha) * momentum + eps * grad + noise
+        _check_finite(model, state.theta, state.iteration, "parameter")
+    except BaseException:
+        state.theta[...] = start
+        raise
+    state.momentum[...] = momentum
     state.iteration += 1
     return state
 
@@ -461,18 +441,24 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     elements) and its stepsize, steering the kinetic temperature to eps.
     """
     eps = state.eps
-    state.theta += state.momentum
-    grad = _draw_gradient(state, dataset)
-    _check_finite(model, grad, state.iteration, "gradient")
-    noise = _noise(state.rng_noise, eps.size) * state.noise_scale
-    # Each parameter's thermostat spread over its segment of the momentum.
-    decay = np.empty_like(eps)
-    for name, part in model.views(decay).items():
-        part[...] = 1.0 - state.thermostats[name]
-    state.momentum[...] = decay * state.momentum + eps * grad + noise
+    start = state.theta.copy()
+    try:
+        state.theta += state.momentum
+        grad = _draw_gradient(state, dataset)
+        _check_finite(model, grad, state.iteration, "gradient")
+        noise = _noise(state.rng_noise, eps.size) * state.noise_scale
+        # Each parameter's thermostat spread over its segment of the momentum.
+        decay = np.empty_like(eps)
+        for name, part in model.views(decay).items():
+            part[...] = 1.0 - state.thermostats[name]
+        momentum = decay * state.momentum + eps * grad + noise
+        _check_finite(model, state.theta, state.iteration, "parameter")
+    except BaseException:
+        state.theta[...] = start
+        raise
+    state.momentum[...] = momentum
     for name, nu in state.momenta.items():
         state.thermostats[name] += float(np.vdot(nu, nu)) / max(1, nu.size) - state.stepsizes[name]
-    _check_finite(model, state.theta, state.iteration, "parameter")
     state.iteration += 1
     return state
 
@@ -528,10 +514,6 @@ class SamplerHandle:
         self.state: ChainState | None = None
         self.cv: ControlVariateState | None = None
 
-    @property
-    def is_cv(self) -> bool:
-        return self.config.algorithm in CV_ALGORITHMS
-
     def init(self) -> "SamplerHandle":
         """Initialize the chain state; for CV algorithms this runs the mode
         search and the full-data gradient pass, and starts the chain there.
@@ -546,7 +528,7 @@ class SamplerHandle:
             self._substreams = self._rng.spawn(2)
         rng_batch, rng_noise = (copy.deepcopy(stream) for stream in self._substreams)
         start = self.initial_params
-        if self.is_cv:
+        if config.algorithm in CV_ALGORITHMS:
             opt_iters = config.opt_iters if config.opt_iters is not None else config.n_iters
             mode = find_mode(self.model, self.dataset, start, config.opt_stepsize, opt_iters,
                              config.minibatch_size, rng_batch)
@@ -556,7 +538,7 @@ class SamplerHandle:
         state = ChainState(self.model, self.dataset, config, start, rng_batch, rng_noise, cv=self.cv)
         family = config.algorithm.removesuffix("cv")
         if family == "sgnht":
-            state.momentum[...] = _noise(rng_noise, state.eps.size) * np.sqrt(state.eps)
+            state.momentum[...] = _noise(rng_noise, state.eps.size) * state.sqrt_eps
         self._kernel = _KERNELS[family]
         self.state = state
         return self
@@ -572,11 +554,6 @@ class SamplerHandle:
         if self.state is None:
             raise LifecycleError("sampler read before init()")
         return self.model.views(self.state.theta.copy())
-
-
-def sampler_setup(model, dataset, initial_params, config, rng=None) -> SamplerHandle:
-    """Validate everything and return an un-initialized sampler handle."""
-    return SamplerHandle(model, dataset, initial_params, config, rng=rng)
 
 
 @dataclass
@@ -604,7 +581,7 @@ def run_chain(model, dataset, initial_params, config, hook=None, rng=None) -> Ch
     for high-dimensional chains).  A hook that returns ``None`` stores
     nothing, so one that records elsewhere leaves ``hook_values`` empty.
     """
-    handle = sampler_setup(model, dataset, initial_params, config, rng=rng).init()
+    handle = SamplerHandle(model, dataset, initial_params, config, rng=rng).init()
     start = handle.get_params()
     theta = handle.state.theta
     rows = np.empty((config.n_iters, theta.size)) if hook is None else None

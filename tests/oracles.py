@@ -1,13 +1,14 @@
 """Independent reference computations the tests check the library against.
 
-Nothing here touches the package's gradient or sampler code paths: gradients
-come from central finite differences of forward evaluations, and the mixture
-reference chain is a standalone numpy implementation with its own hand-derived
-gradient.  ``log_density_value`` calls the package's density kernels
-directly, outside any graph, and checks their parameters;
-``log_posterior_value`` and ``log_lik_value`` evaluate a model's graph
-forward.  ``traced_peak`` measures memory with the standard library's
-tracemalloc, for the tests that hold the package to a memory budget.
+Nothing here touches the package's sampler code paths: gradients come from
+central finite differences of forward evaluations, or, for the minibatch and
+control-variate estimates a chain binds, from the public ``Graph.grad`` of a
+model's ``objective``; the mixture reference chain is a standalone numpy
+implementation with its own hand-derived gradient.  ``log_density_value``
+calls the package's density kernels directly, outside any graph, and checks
+their parameters; ``log_posterior_value`` and ``log_lik_value`` evaluate a
+model's graph forward.  ``traced_peak`` measures memory with the standard
+library's tracemalloc, for the tests that hold the package to a memory budget.
 """
 
 import tracemalloc
@@ -32,6 +33,21 @@ def log_posterior_value(model, params, data_bindings, scale=1.0) -> float:
 
 def log_lik_value(model, params, data_bindings) -> float:
     return float(model.eval_output("log_lik", params, data_bindings))
+
+
+def estimate_gradient(model, params, minibatch, n_total) -> dict:
+    """Unbiased log-posterior gradient from one minibatch: the prior gradient
+    plus N/n times the minibatch likelihood gradient, in one reverse pass."""
+    bindings = {**minibatch.views, **params, _SCALE: n_total / minibatch.indices.size}
+    return model.graph.grad("objective", model.param_names, bindings)
+
+
+def cv_gradient(model, params, cv, minibatch, n_total) -> dict:
+    """Control-variate gradient: the full gradient at the mode, recentred by the
+    difference of the estimates at ``params`` and at the mode on the same minibatch."""
+    here = estimate_gradient(model, params, minibatch, n_total)
+    at_mode = estimate_gradient(model, cv.mode_params, minibatch, n_total)
+    return {name: cv.full_grad[name] + (here[name] - at_mode[name]) for name in model.param_names}
 
 
 def mixture2_logpdf(x, loc1, loc2, scale1, scale2, w1, w2):

@@ -21,12 +21,11 @@ from gradmc import (
     Rng,
     RunningMean,
     SamplerConfig,
+    SamplerHandle,
     build_bayes_nn,
     build_gaussian,
     build_gaussian_mixture,
     build_logistic_regression,
-    cv_gradient,
-    estimate_gradient,
     find_mode,
     full_log_posterior_grad,
     gaussian_posterior,
@@ -35,12 +34,18 @@ from gradmc import (
     log_loss_binary,
     moment_match,
     run_chain,
-    sampler_setup,
 )
 from gradmc.cli import main as cli_main
 from gradmc.models import FAMILIES
 from gradmc.samplers import ControlVariateState
-from oracles import batch_means_se, finite_diff_grad, log_posterior_value, mixture_reference_mean
+from oracles import (
+    batch_means_se,
+    cv_gradient,
+    estimate_gradient,
+    finite_diff_grad,
+    log_posterior_value,
+    mixture_reference_mean,
+)
 
 
 def report(number, ok, detail, elapsed, budget):
@@ -248,7 +253,7 @@ def recovery_runs():
             seed=7, opt_stepsize=1e-4, opt_iters=10_000,
         )
         started = time.perf_counter()
-        handle = sampler_setup(model, dataset, {"theta": 0.0}, config).init()
+        handle = SamplerHandle(model, dataset, {"theta": 0.0}, config).init()
         chain = np.empty(n_iters)
         kinetic = np.empty(n_iters) if algorithm.startswith("sgnht") else None
         for t in range(n_iters):
@@ -435,7 +440,7 @@ def test_criterion_11_api_lifecycle():
     dataset = Dataset({"x": x})
 
     config = SamplerConfig(algorithm="sgld", stepsize=1e-3, minibatch_size=20, seed=3)
-    handle = sampler_setup(model, dataset, {"theta": 0.0}, config)
+    handle = SamplerHandle(model, dataset, {"theta": 0.0}, config)
     try:
         handle.step()
         stepped_early = True
@@ -444,7 +449,7 @@ def test_criterion_11_api_lifecycle():
 
     cv_config = SamplerConfig(algorithm="sgldcv", stepsize=1e-3, minibatch_size=20,
                               seed=3, opt_stepsize=1e-3, opt_iters=1_000)
-    cv_handle = sampler_setup(model, dataset, {"theta": 0.0}, cv_config).init()
+    cv_handle = SamplerHandle(model, dataset, {"theta": 0.0}, cv_config).init()
     at_mode = np.array_equal(cv_handle.get_params()["theta"],
                              cv_handle.cv.mode_params["theta"])
 

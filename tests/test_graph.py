@@ -9,7 +9,7 @@ import pytest
 
 from gradmc import DomainError, GraphBuilder, MissingFeed, Rng, ShapeError, UnknownVariable, gen_synth
 from gradmc.models import FAMILIES
-from oracles import assert_grad_close, finite_diff_grad
+from oracles import assert_grad_close, estimate_gradient, finite_diff_grad
 
 
 def scalar_graph(build):
@@ -683,7 +683,7 @@ def test_mixture_gradient_computes_each_component_density_once(monkeypatch):
     # The mixture's backward reads the component densities its forward
     # computed; the priors' densities are never computed under grad.
     import gradmc.densities
-    from gradmc import estimate_gradient, sample_minibatch
+    from gradmc import sample_minibatch
     from gradmc.models import build_gaussian_mixture
 
     calls = []

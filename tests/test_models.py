@@ -16,7 +16,6 @@ from gradmc import (
     build_gaussian,
     build_gaussian_mixture,
     build_logistic_regression,
-    estimate_gradient,
     gaussian_posterior,
     gen_synth,
     nn_forward,
@@ -24,6 +23,7 @@ from gradmc import (
 from gradmc.models import FAMILIES, MIXTURE_LOCS
 from oracles import (
     assert_grad_close,
+    estimate_gradient,
     finite_diff_grad,
     log_density_value,
     log_lik_value,

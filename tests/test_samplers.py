@@ -20,20 +20,18 @@ from gradmc import (
     NumericalDivergence,
     Rng,
     SamplerConfig,
+    SamplerHandle,
     ShapeError,
     RunningMean,
     build_gaussian,
     build_gaussian_mixture,
     build_logistic_regression,
-    cv_gradient,
-    estimate_gradient,
     find_mode,
     full_log_posterior_grad,
     gen_synth,
     resolve_minibatch_size,
     run_chain,
     sample_minibatch,
-    sampler_setup,
     sghmc_step,
     sgld_step,
     sgnht_step,
@@ -41,7 +39,7 @@ from gradmc import (
 )
 import gradmc.samplers
 from gradmc.samplers import ControlVariateState, _check_finite
-from oracles import batch_means_se, traced_peak
+from oracles import batch_means_se, cv_gradient, estimate_gradient, traced_peak
 
 
 def _streams(seed):
@@ -88,7 +86,7 @@ def quadratic_model():
 DUMMY = Dataset({"x": np.zeros(4)})
 
 
-# -- estimate_gradient ----------------------------------------------------------
+# -- the minibatch estimate: Graph.grad of objective at scale N/n ----------------
 
 def test_full_batch_estimate_is_exact_gradient():
     model, dataset, x = make_gaussian_setup(n=40)
@@ -443,7 +441,7 @@ def test_flat_kernels_match_the_per_parameter_loops_bit_for_bit(algorithm):
     init = spec.init_params(model, Rng(9))
     stepsize = {name: 1e-4 * (1 + k) for k, name in enumerate(model.param_names)}
     config = SamplerConfig(algorithm=algorithm, stepsize=stepsize, minibatch_size=20, seed=12)
-    handle = sampler_setup(model, dataset, init, config).init()
+    handle = SamplerHandle(model, dataset, init, config).init()
     for _ in range(15):
         handle.step()
     params, momenta, thermostats = _per_parameter_chain(model, dataset, init, config, 15)
@@ -474,7 +472,7 @@ def test_noise_block_refills_match_the_per_parameter_loops_bit_for_bit(algorithm
         return reference(rng, shape)
 
     monkeypatch.setattr(gradmc.samplers, "standard_normal", counted)
-    handle = sampler_setup(model, dataset, init, config).init()
+    handle = SamplerHandle(model, dataset, init, config).init()
     for _ in range(10):
         handle.step()
     size = handle.state.theta.size
@@ -495,7 +493,7 @@ def test_a_copy_of_the_noise_stream_continues_the_chain_mid_block():
     # of a running chain's streams walks on exactly as the chain does.
     model, dataset, _ = make_gaussian_setup(n=40, seed=3)
     config = SamplerConfig(algorithm="sgld", stepsize=1e-3, minibatch_size=10, seed=6)
-    handle = sampler_setup(model, dataset, {"theta": 0.1}, config).init()
+    handle = SamplerHandle(model, dataset, {"theta": 0.1}, config).init()
     for _ in range(7):
         handle.step()
     start = handle.state
@@ -568,47 +566,6 @@ _FAMILY_NAMES = {
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILY_NAMES))
-def test_cv_gradient_is_two_objective_grad_calls(family, monkeypatch):
-    spec = FAMILIES[family]
-    hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
-    model = spec.build(**hyper)
-    dataset = gen_synth(family, 60, Rng(8), n_test=2, **hyper).train
-    start = model.check_params(spec.init_params(model, Rng(9)))
-    mode = {name: value + 0.01 for name, value in start.items()}
-    cv = ControlVariateState(mode_params=mode, full_grad=full_log_posterior_grad(model, dataset, mode))
-
-    # The parameters are the graph's variables; the data its placeholders but the scale.
-    param_names, data_names = _FAMILY_NAMES[family]
-    assert model.param_names == param_names
-    assert model.data_names == data_names
-    assert model.param_shapes == {name: model.graph.variables[name] for name in param_names}
-
-    reference = Graph.grad
-    calls = []
-
-    def counted(self, objective, wrt, bindings):
-        calls.append(objective)
-        return reference(self, objective, wrt, bindings)
-
-    monkeypatch.setattr(Graph, "grad", counted)
-    rng = Rng(4)
-    for point in (mode, start):
-        mb = sample_minibatch(dataset, 7, rng)
-        halves = [
-            reference(model.graph, "objective", model.param_names,
-                      {**mb.views, **params, "__grad_scale__": dataset.n / mb.size})
-            for params in (point, mode)
-        ]
-        calls.clear()
-        got = cv_gradient(model, point, cv, mb, dataset.n)
-        assert calls == ["objective", "objective"]
-        assert list(got) == list(model.param_names)
-        for name in model.param_names:
-            want = cv.full_grad[name] + (halves[0][name] - halves[1][name])
-            assert want.shape == got[name].shape and want.tobytes() == got[name].tobytes(), name
-
-
-@pytest.mark.parametrize("family", sorted(_FAMILY_NAMES))
 def test_graph_eval_of_every_output_needs_only_params_data_and_scale(family):
     spec = FAMILIES[family]
     hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
@@ -653,7 +610,7 @@ def test_cv_init_compiles_one_gradient_plan(monkeypatch):
     monkeypatch.setattr(Graph, "_compile", counted)
     config = SamplerConfig(algorithm="sgldcv", stepsize=1e-3, minibatch_size=10, n_iters=5,
                            opt_stepsize=1e-3, opt_iters=20, seed=2)
-    handle = sampler_setup(model, dataset, {"theta": 0.0}, config).init()
+    handle = SamplerHandle(model, dataset, {"theta": 0.0}, config).init()
     for _ in range(3):
         handle.step()
     assert compiled == [(("theta",), True)]
@@ -673,6 +630,11 @@ def test_bound_gradient_is_the_public_estimate_bit_for_bit(family, cv):
     hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
     model = spec.build(**hyper)
     dataset = gen_synth(family, 60, Rng(8), n_test=2, **hyper).train
+    # The parameters are the graph's variables; the data its placeholders but the scale.
+    param_names, data_names = _FAMILY_NAMES[family]
+    assert model.param_names == param_names
+    assert model.data_names == data_names
+    assert model.param_shapes == {name: model.graph.variables[name] for name in param_names}
     if family == "logistic_regression":
         assert dataset["y"].shape == (60,) and model.graph.placeholders["y"] == (None, 1)
     if family == "bayes_nn":
@@ -709,7 +671,7 @@ def test_a_wrong_data_shape_raises_at_init(family, entries, algorithm, monkeypat
     model = FAMILIES[family].build()
     init = FAMILIES[family].init_params(model, Rng(1))
     config = SamplerConfig(algorithm=algorithm, stepsize=1e-3, minibatch_size=5, opt_stepsize=1e-3, opt_iters=5)
-    handle = sampler_setup(model, Dataset(entries), init, config)
+    handle = SamplerHandle(model, Dataset(entries), init, config)
     draws = []
     monkeypatch.setattr(gradmc.samplers, "sample_minibatch", lambda *args: draws.append(args))
     with pytest.raises(ShapeError):
@@ -757,11 +719,18 @@ def test_find_mode_divergence_raises():
 # -- full gradient -------------------------------------------------------------------
 
 def test_full_grad_bit_equals_full_batch_estimate():
-    model, dataset, _ = make_gaussian_setup(n=35, seed=8)
-    params = {"theta": np.asarray(-0.3)}
-    a = full_log_posterior_grad(model, dataset, params)
-    b = estimate_gradient(model, params, full_minibatch(dataset), dataset.n)
-    assert np.array_equal(a["theta"], b["theta"])
+    # The library's two gradient paths, on every family: ``Graph.grad``,
+    # which the full-data pass calls, and the chain's bound function over all N rows.
+    for family in sorted(_FAMILY_NAMES):
+        spec = FAMILIES[family]
+        hyper = {"input_dim": 5, "hidden": 4, "classes": 3} if family == "bayes_nn" else spec.hyper_defaults
+        model = spec.build(**hyper)
+        dataset = gen_synth(family, 70, Rng(3), n_test=2, **hyper).train
+        params = model.check_params(spec.init_params(model, Rng(4)))
+        full = model.flatten(full_log_posterior_grad(model, dataset, params))
+        estimate = model.flatten(estimate_gradient(model, params, full_minibatch(dataset), dataset.n))
+        bound = gradmc.samplers._bind_gradient(model, dataset, dataset.n, model.flatten(params))
+        assert full.tobytes() == estimate.tobytes() == bound(dataset.entries).tobytes(), family
 
 
 def test_full_grad_scales_exactly_with_duplicated_data():
@@ -803,7 +772,7 @@ def test_full_grad_reads_the_stored_rows_without_a_copy():
 def test_step_before_init_is_lifecycle_error():
     model, dataset, _ = make_gaussian_setup()
     config = SamplerConfig(algorithm="sgld", stepsize=1e-3, minibatch_size=4)
-    handle = sampler_setup(model, dataset, {"theta": 0.0}, config)
+    handle = SamplerHandle(model, dataset, {"theta": 0.0}, config)
     with pytest.raises(LifecycleError):
         handle.step()
     with pytest.raises(LifecycleError):
@@ -814,7 +783,7 @@ def test_step_before_init_is_lifecycle_error():
 def test_stepsizes_and_minibatch_count_resolve_once_per_chain(algorithm, monkeypatch):
     model, dataset, _ = make_gaussian_setup(n=40, seed=3)
     config = SamplerConfig(algorithm=algorithm, stepsize={"theta": 1e-3}, minibatch_size=0.25, seed=6)
-    handle = sampler_setup(model, dataset, {"theta": 0.1}, config).init()
+    handle = SamplerHandle(model, dataset, {"theta": 0.1}, config).init()
     # A state built by hand goes through the same constructor as the handle's
     # and walks the same chain through the same kernel.
     start = handle.state
@@ -840,7 +809,7 @@ def test_cv_handle_starts_from_mode():
         algorithm="sgldcv", stepsize=1e-3, minibatch_size=10, n_iters=100,
         opt_stepsize=1e-3, opt_iters=500, seed=2,
     )
-    handle = sampler_setup(model, dataset, {"theta": 0.0}, config).init()
+    handle = SamplerHandle(model, dataset, {"theta": 0.0}, config).init()
     params = handle.get_params()
     assert np.array_equal(params["theta"], handle.cv.mode_params["theta"])
     analytic = dataset["x"].sum() / (50 + 0.1)
@@ -850,14 +819,14 @@ def test_cv_handle_starts_from_mode():
 def test_plain_handle_starts_from_initial_params():
     model, dataset, _ = make_gaussian_setup()
     config = SamplerConfig(algorithm="sgnht", stepsize=1e-3, minibatch_size=4, seed=5)
-    handle = sampler_setup(model, dataset, {"theta": 0.25}, config).init()
+    handle = SamplerHandle(model, dataset, {"theta": 0.25}, config).init()
     assert float(handle.get_params()["theta"]) == 0.25
 
 
 def test_get_params_returns_detached_copy():
     model, dataset, _ = make_gaussian_setup()
     config = SamplerConfig(algorithm="sgld", stepsize=1e-3, minibatch_size=4, seed=5)
-    handle = sampler_setup(model, dataset, {"theta": 0.25}, config).init()
+    handle = SamplerHandle(model, dataset, {"theta": 0.25}, config).init()
     snapshot = handle.get_params()
     snapshot["theta"] += 100.0
     assert float(handle.get_params()["theta"]) == 0.25
@@ -873,7 +842,7 @@ def test_cv_mode_is_not_a_view_of_the_chain():
     model, dataset, init = _mixture_setup()
     config = SamplerConfig(algorithm="sghmccv", stepsize=1e-3, minibatch_size=20, seed=2,
                            opt_stepsize=1e-3, opt_iters=50)
-    handle = sampler_setup(model, dataset, init, config).init()
+    handle = SamplerHandle(model, dataset, init, config).init()
     mode = {name: value.copy() for name, value in handle.cv.mode_params.items()}
     for _ in range(5):
         handle.step()
@@ -919,7 +888,7 @@ def test_identical_handles_walk_identical_trajectories(algorithm):
     dataset = Dataset({"x": x})
     init = {"theta1": np.zeros(2), "theta2": np.full(2, 0.3)}
     config = SamplerConfig(algorithm=algorithm, stepsize=1e-3, minibatch_size=20, seed=99)
-    handles = [sampler_setup(model, dataset, init, config).init() for _ in range(2)]
+    handles = [SamplerHandle(model, dataset, init, config).init() for _ in range(2)]
     for t in range(1000 if algorithm == "sgld" else 200):
         for handle in handles:
             handle.step()
@@ -939,7 +908,7 @@ def test_second_init_repeats_the_first(algorithm):
     model, dataset, _ = make_gaussian_setup(n=1000, seed=1)
     config = SamplerConfig(algorithm=algorithm, stepsize=1e-4, minibatch_size=100, seed=1,
                            opt_stepsize=1e-4, opt_iters=20)
-    handle = sampler_setup(model, dataset, {"theta": 0.0}, config)
+    handle = SamplerHandle(model, dataset, {"theta": 0.0}, config)
     runs = []
     for _ in range(2):
         handle.init()
@@ -981,7 +950,7 @@ def test_kernel_rng_and_gradient_budgets():
     init = {"theta1": np.zeros(2), "theta2": np.zeros(2)}
     for algorithm, per_step in (("sgld", 1), ("sgnht", 1), ("sghmc", 5)):
         config = SamplerConfig(algorithm=algorithm, stepsize=1e-4, minibatch_size=8, seed=4)
-        handle = sampler_setup(model, dataset, init, config).init()
+        handle = SamplerHandle(model, dataset, init, config).init()
         handle.step()
         evals0 = handle.state.grad_evals
         batch0 = handle.state.rng_batch.draw_count
@@ -1099,14 +1068,27 @@ def test_divergence_blames_the_gradient_first_then_the_parameter():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_an_overflowing_sgld_update_leaves_theta_at_its_last_finite_value():
+@pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
+def test_an_overflowing_update_leaves_the_chain_at_its_last_finite_value(algorithm):
+    # sghmc and sgnht take their gradient at the moved theta; a failed check
+    # puts it back and writes neither momentum nor thermostat.  sgnht's first
+    # step overflows only its momentum, which its second step then spends.
     model = _scaled_data_model()
-    config = SamplerConfig(algorithm="sgld", stepsize=1e10, minibatch_size=2)
+    config = SamplerConfig(algorithm=algorithm, stepsize=1e10, minibatch_size=2)
     big = Dataset({"x": np.full(4, 1e300)})
     state = ChainState(model, big, config, {"theta": np.asarray(0.5)}, **_streams(1))
-    with pytest.raises(NumericalDivergence):
-        sgld_step(state, model, big, config)
-    assert state.params["theta"] == 0.5
+    kernel = {"sgld": sgld_step, "sghmc": sghmc_step, "sgnht": sgnht_step}[algorithm]
+    with pytest.raises(NumericalDivergence) as excinfo:
+        for _ in range(3):
+            before = copy.deepcopy((state.theta, state.momentum, state.thermostats, state.iteration))
+            kernel(state, model, big, config)
+    iteration = {"sgld": 0, "sghmc": 0, "sgnht": 1}[algorithm]
+    assert str(excinfo.value) == f"non-finite parameter for parameter 'theta' at iteration {iteration}"
+    assert excinfo.value.param == "theta" and excinfo.value.iteration == iteration == before[3]
+    assert state.theta.tobytes() == before[0].tobytes() and np.isfinite(state.theta).all()
+    if algorithm != "sgld":
+        assert state.momentum.tobytes() == before[1].tobytes()
+    assert state.thermostats == before[2] and state.iteration == before[3]
 
 
 def test_divergence_names_the_first_non_finite_tensor_in_sorted_order():
@@ -1129,22 +1111,22 @@ def test_divergence_names_the_first_non_finite_tensor_in_sorted_order():
 def test_config_validation_errors():
     model, dataset, _ = make_gaussian_setup()
     with pytest.raises(ConfigError):
-        sampler_setup(model, dataset, {"theta": 0.0},
+        SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="mala", stepsize=1e-3))
     with pytest.raises(ConfigError):
-        sampler_setup(model, dataset, {"theta": 0.0},
+        SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="sgldcv", stepsize=1e-3))  # no opt_stepsize
     with pytest.raises(ConfigError):
-        sampler_setup(model, dataset, {"theta": 0.0},
+        SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="sgld", stepsize={"wrong": 1e-3}))
     with pytest.raises(ConfigError):
-        sampler_setup(model, dataset, {"theta": 0.0},
+        SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="sghmc", stepsize=1e-3, friction=1.5))
     with pytest.raises(ConfigError):
-        sampler_setup(model, dataset, {"theta": 0.0},
+        SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="sgnht", stepsize=1e-3, diffusion=0.0))
     with pytest.raises(ConfigError):
-        sampler_setup(model, dataset, {"theta": 0.0},
+        SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="sghmc", stepsize=1e-3, trajectory_length=0))
 
 
@@ -1152,6 +1134,6 @@ def test_initial_params_shape_validated():
     model, dataset, _ = make_gaussian_setup()
     config = SamplerConfig(algorithm="sgld", stepsize=1e-3)
     with pytest.raises(ShapeError):
-        sampler_setup(model, dataset, {"theta": np.zeros(3)}, config)
+        SamplerHandle(model, dataset, {"theta": np.zeros(3)}, config)
     with pytest.raises(ShapeError):
-        sampler_setup(model, dataset, {}, config)
+        SamplerHandle(model, dataset, {}, config)

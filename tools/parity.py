@@ -6,8 +6,11 @@ Run it in each checkout and diff the two outputs:
 
 Every line is a label and a digest.  It covers, per model family:
 
-* 200 minibatch ``estimate_gradient`` and ``cv_gradient`` results, and the
-  full-data ``full_log_posterior_grad``;
+* 200 minibatch gradient estimates, plain and control-variate, each from
+  ``Graph.grad`` of the model's ``objective`` at scale N/n (the lines keep
+  the labels ``estimate_gradient`` and ``cv_gradient``, the names these
+  estimates had in the library), and the full-data
+  ``full_log_posterior_grad``;
 * 48 in-process chains: 4 families x 6 algorithms x a scalar and a
   per-name stepsize, 60 steps each through ``run_chain``;
 * sgld and sghmc chains on a 2087-parameter ``bayes_nn``, whose noise rows
@@ -19,8 +22,9 @@ Every line is a label and a digest.  It covers, per model family:
   run and one ``--chains 3`` run per family (every ``chain.<i>.csv`` and
   ``logloss.<i>.csv``; the manifest without its wall clock and data path).
 
-It uses only the public API, so it runs unchanged on older checkouts.  It
-takes a few seconds on one core.  It is not a pytest module.
+It uses only the public API and the reserved scale name ``__grad_scale__``,
+so it runs unchanged on older checkouts.  It takes a few seconds on one
+core.  It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from gradmc import (
     NumericalDivergence,
     Rng,
     SamplerConfig,
-    cv_gradient,
-    estimate_gradient,
     full_log_posterior_grad,
     gen_synth,
     run_chain,
@@ -54,6 +56,8 @@ from gradmc.samplers import ControlVariateState
 SMALL = {"bayes_nn": {"input_dim": 5, "hidden": 4, "classes": 3}}
 # gradmc gen flags giving the same small network.
 GEN_FLAGS = {"bayes_nn": ["--d", "5", "--hidden", "4", "--classes", "3"]}
+# The placeholder that scales a model's minibatch log likelihood in its objective.
+SCALE = "__grad_scale__"
 STEPSIZE = {"gaussian": 2e-4, "gaussian_mixture": 2e-4, "logistic_regression": 1e-4, "bayes_nn": 1e-4}
 
 
@@ -89,8 +93,11 @@ def gradients(family: str) -> list[str]:
     rng = Rng(5)
     for _ in range(200):
         minibatch = sample_minibatch(train, 20, rng)
-        plain.add(estimate_gradient(model, params, minibatch, train.n))
-        recentred.add(cv_gradient(model, params, cv, minibatch, train.n))
+        scale = train.n / minibatch.indices.size
+        here, at_mode = (model.graph.grad("objective", model.param_names, {**minibatch.views, **point, SCALE: scale})
+                         for point in (params, cv.mode_params))
+        plain.add(here)
+        recentred.add({name: cv.full_grad[name] + (here[name] - at_mode[name]) for name in model.param_names})
     whole = Digest()
     whole.add(full_log_posterior_grad(model, train, params))
     generated = gen_synth(family, 20_000, Rng(11))

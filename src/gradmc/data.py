@@ -2,10 +2,13 @@
 
 A Dataset is a named collection of float64 arrays sharing their first axis
 (one row per observation).  Minibatches are uniform index subsets drawn
-without replacement, fresh on every call.  All randomness flows through
-:class:`Rng`, a thin wrapper over numpy's PCG64 whose streams are fully
-determined by (seed, call sequence) and can be spawned into statistically
-independent children for parallel chains.
+without replacement, independent from call to call, and their indices come
+sorted.  All randomness flows through :class:`Rng`, a thin wrapper over
+numpy's PCG64 whose streams are fully determined by (seed, call sequence)
+and can be spawned into statistically independent children for parallel
+chains.  A stream draws minibatch indices, and a chain its noise rows
+(``samplers``), in blocks of ``_BLOCK_VALUES`` values, so the cost of one
+generator call is shared by many minibatches or updates.
 """
 
 from __future__ import annotations
@@ -32,20 +35,28 @@ __all__ = [
     "save_csv_columns",
 ]
 
+# Streams draw minibatch index rows and noise rows in blocks of this many
+# values (64 KiB of int64 or float64), or one row when a row is longer.
+_BLOCK_VALUES = 8192
+
 
 class Rng:
     """Deterministic random stream backed by the 64-bit PCG64 generator.
 
     Identical (seed, consumption sequence) gives identical outputs on every
-    platform for a fixed numpy version; ``draw_count`` records how many draw
-    calls the stream has served.  A stream is single-owner: never share one
-    across threads, spawn children instead.
+    platform for a fixed numpy version; ``draw_count`` records how many draws
+    the stream has served: one per call, per minibatch and per noise row.  A
+    stream is single-owner: never share one across threads, spawn children
+    instead.
 
-    ``pending_rows`` iterates over the normal rows that a chain's noise draws
-    (``samplers``) drew ahead in a block and have not served yet, each one
-    counted in ``draw_count`` when served.  They belong to the stream, so a
-    copy of it carries them and continues the chain's noise where it stands;
-    the generator itself may run up to one block ahead of the rows served.
+    Two kinds of draw are served from rows drawn ahead in a block.
+    ``pending_indices`` iterates over the index rows that
+    ``indices_without_replacement`` drew for the current ``(n_total, n)``
+    and has not served yet; ``pending_rows`` over the normal rows that a
+    chain's noise draws (``samplers``) drew ahead.  They belong to the
+    stream, so a copy of it carries them and continues where the stream
+    stands; the generator itself may run up to one block ahead of the draws
+    served.
     """
 
     def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
@@ -58,6 +69,8 @@ class Rng:
         self._generator = np.random.Generator(np.random.PCG64(self._sequence))
         self.draw_count = 0
         self.pending_rows = iter(())
+        self.pending_indices = iter(())
+        self._indices_for = None  # the (n_total, n) of the pending index rows
 
     def spawn(self, n: int) -> list["Rng"]:
         """Derive n independent child streams (safe for parallel chains)."""
@@ -72,8 +85,44 @@ class Rng:
         return self._generator.random(shape)
 
     def indices_without_replacement(self, n_total: int, n: int) -> np.ndarray:
+        """n distinct indices in ``[0, n_total)``, a uniform n-subset, sorted ascending.
+
+        Served from a block of pending rows, one row per call; a call with
+        another ``(n_total, n)`` drops the pending rows and draws a new block.
+        Each row holds ``k = min(n, n_total - n)`` indices, and where k < n the
+        call returns the row's complement.
+        """
         self.draw_count += 1
-        return self._generator.choice(n_total, n, False)
+        row = next(self.pending_indices, None)
+        if row is None or self._indices_for != (n_total, n):
+            self._indices_for = (n_total, n)
+            self.pending_indices = iter(self._index_block(n_total, min(n, n_total - n)))
+            row = next(self.pending_indices)
+        if row.size == n:
+            return row
+        keep = np.ones(n_total, dtype=bool)
+        keep[row] = False
+        return np.flatnonzero(keep)
+
+    def _index_block(self, n_total: int, k: int) -> np.ndarray:
+        """``max(1, _BLOCK_VALUES // k)`` independent uniform k-subsets of ``[0, n_total)``, one sorted row each.
+
+        Each row starts as k uniform draws.  A value repeated within a row is
+        replaced by a fresh draw, and the rows re-sorted, until no row holds a
+        repeat: sequential rejection sampling of the missing values, so each
+        row is a uniform k-subset.  With k <= n_total / 2 a fresh draw is new
+        to its row with probability at least 1/2, so O(log k) rounds suffice.
+        """
+        generator = self._generator
+        block = generator.integers(0, n_total, (max(1, _BLOCK_VALUES // max(1, k)), k))
+        block.sort(axis=1)
+        while True:
+            repeat = block[:, 1:] == block[:, :-1]
+            m = np.count_nonzero(repeat)
+            if not m:
+                return block
+            block[:, 1:][repeat] = generator.integers(0, n_total, m)
+            block.sort(axis=1)
 
 
 class Dataset:
@@ -142,7 +191,11 @@ class Dataset:
 
 
 class Minibatch(NamedTuple):
-    """Distinct observation indices plus the selected rows of every entry."""
+    """Distinct observation indices, sorted ascending, plus those rows of every entry.
+
+    The rows of each view come in index order, so a minibatch sum adds its
+    terms in that order.
+    """
 
     indices: np.ndarray
     views: dict

@@ -35,7 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .data import Dataset, Rng, resolve_minibatch_size, sample_minibatch, standard_normal
+from .data import _BLOCK_VALUES, Dataset, Rng, resolve_minibatch_size, sample_minibatch, standard_normal
 from .errors import ConfigError, LifecycleError, MissingFeed, NumericalDivergence, ShapeError
 from .graph import Graph, GraphBuilder, NodeRef, as_tensor
 
@@ -61,9 +61,6 @@ CV_ALGORITHMS = ("sgldcv", "sghmccv", "sgnhtcv")
 # Reserved placeholder that scales the minibatch log likelihood inside the
 # combined objective, so one backward pass yields the whole gradient estimate.
 _SCALE = "__grad_scale__"
-
-# A chain draws its noise rows in blocks of this many float64 values (64 KiB), or one row.
-_NOISE_BLOCK_VALUES = 8192
 
 
 class Model:
@@ -382,7 +379,7 @@ def _noise(rng: Rng, size: int) -> np.ndarray:
     """
     row = next(rng.pending_rows, None)
     if row is None or row.size != size:
-        rng.pending_rows = iter(standard_normal(rng, (max(1, _NOISE_BLOCK_VALUES // max(1, size)), size)))
+        rng.pending_rows = iter(standard_normal(rng, (max(1, _BLOCK_VALUES // max(1, size)), size)))
         return next(rng.pending_rows)  # counted by the block's draw
     rng.draw_count += 1
     return row
@@ -425,6 +422,7 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
             noise = _noise(state.rng_noise, eps.size) * state.noise_scale
             momentum = (1.0 - alpha) * momentum + eps * grad + noise
         _check_finite(model, state.theta, state.iteration, "parameter")
+        _check_finite(model, momentum, state.iteration, "momentum")
     except BaseException:
         state.theta[...] = start
         raise
@@ -453,12 +451,18 @@ def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
             part[...] = 1.0 - state.thermostats[name]
         momentum = decay * state.momentum + eps * grad + noise
         _check_finite(model, state.theta, state.iteration, "parameter")
+        _check_finite(model, momentum, state.iteration, "momentum")
+        thermostats = {name: state.thermostats[name] + (float(np.vdot(nu, nu)) / max(1, nu.size) - state.stepsizes[name])
+                       for name, nu in model.views(momentum).items()}
+        for name, value in thermostats.items():
+            if not math.isfinite(value):
+                raise NumericalDivergence(f"non-finite thermostat for parameter {name!r} at iteration {state.iteration}",
+                                          iteration=state.iteration, param=name)
     except BaseException:
         state.theta[...] = start
         raise
     state.momentum[...] = momentum
-    for name, nu in state.momenta.items():
-        state.thermostats[name] += float(np.vdot(nu, nu)) / max(1, nu.size) - state.stepsizes[name]
+    state.thermostats.update(thermostats)
     state.iteration += 1
     return state
 

@@ -1,5 +1,6 @@
 """Dataset invariants, minibatch sampling, random streams, CSV round trips."""
 
+import copy
 import csv
 import io
 import math
@@ -197,6 +198,69 @@ def test_minibatch_uniformity():
         counts[sample_minibatch(ds, 2, rng).indices] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.2) < 0.01)
+
+
+# The chi-square upper 1e-4 quantile at C(N, n) - 1 degrees of freedom.
+CHI2_UPPER_1E4 = {19: 50.795, 69: 121.440, 14: 42.579, 6: 27.856}
+
+
+@pytest.mark.parametrize("n_total, n", [(6, 3), (8, 4), (6, 4), (7, 1), (5, 5)])
+def test_minibatch_subsets_are_jointly_uniform(n_total, n):
+    # Every n-subset of N is equally likely, not just every index: count each
+    # subset (as a bit mask) over 60 000 draws.  (8, 4) draws half the data,
+    # where repeats are most frequent; (6, 4) and (5, 5) take more than half.
+    rng = Rng(n_total * 10 + n)
+    draws = 60_000
+    indices = np.array([rng.indices_without_replacement(n_total, n) for _ in range(draws)])
+    masks = np.left_shift(1, indices).sum(axis=1)
+    assert np.array_equal(np.bitwise_count(masks), np.full(draws, n))  # n distinct indices
+    counts = np.unique(masks, return_counts=True)[1]
+    subsets = math.comb(n_total, n)
+    if subsets == 1:
+        assert counts.tolist() == [draws]
+        return
+    expected = draws / subsets
+    chi2 = (((counts - expected) ** 2).sum() + (subsets - counts.size) * expected ** 2) / expected
+    assert chi2 < CHI2_UPPER_1E4[subsets - 1], (chi2, subsets - 1)
+
+
+@pytest.mark.parametrize("n_total, n", [(10_000, 100), (50, 20), (8, 4), (25, 20), (25, 25), (1, 1)])
+def test_indices_come_sorted_and_distinct(n_total, n):
+    rng = Rng(17)
+    for _ in range(300):
+        indices = rng.indices_without_replacement(n_total, n)
+        assert indices.shape == (n,) and indices.dtype == np.int64
+        assert np.all(np.diff(indices) > 0) and indices[0] >= 0 and indices[-1] < n_total
+
+
+def test_a_copy_of_a_batch_stream_mid_block_serves_the_same_minibatches():
+    # (1000, 100) rows come 81 to a block: 37 draws leave the stream mid-block,
+    # and 500 more cross six refills.
+    rng = Rng(4)
+    for _ in range(37):
+        rng.indices_without_replacement(1000, 100)
+    copied = copy.deepcopy(rng)
+    for _ in range(500):
+        assert np.array_equal(copied.indices_without_replacement(1000, 100),
+                              rng.indices_without_replacement(1000, 100))
+    assert copied.draw_count == rng.draw_count == 537
+
+
+def test_another_minibatch_size_drops_the_pending_index_rows():
+    # After one block each, a and b stand at the same generator state with
+    # different rows pending; both drop them for (30, 7) and again for (50, 5).
+    a, b, kept = Rng(8), Rng(8), Rng(8)
+    for _ in range(3):
+        a.indices_without_replacement(50, 5)
+    b.indices_without_replacement(50, 5)
+    other = a.indices_without_replacement(30, 7)
+    assert np.array_equal(other, b.indices_without_replacement(30, 7))
+    assert other.size == 7 and np.all(np.diff(other) > 0) and other[-1] < 30
+    fresh = a.indices_without_replacement(50, 5)
+    assert np.array_equal(fresh, b.indices_without_replacement(50, 5))
+    served = [kept.indices_without_replacement(50, 5) for _ in range(5)]
+    assert not any(np.array_equal(fresh, row) for row in served[1:])
+    assert a.draw_count == 5 and b.draw_count == 3
 
 
 # -- normal draws ----------------------------------------------------------------

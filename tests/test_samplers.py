@@ -965,6 +965,16 @@ def test_kernel_rng_and_gradient_budgets():
         assert handle.state.rng_noise.draw_count - noise0 == 3 * noise_per_step
 
 
+def test_a_cv_chain_batch_stream_counts_one_draw_per_minibatch():
+    # The mode search and the chain share the batch stream: opt_iters
+    # minibatches, then one per stored sgld step.
+    model, dataset, _ = make_gaussian_setup(n=300, seed=2)
+    config = SamplerConfig(algorithm="sgldcv", stepsize=1e-4, minibatch_size=30, n_iters=50,
+                           opt_stepsize=1e-4, opt_iters=70, seed=3)
+    out = run_chain(model, dataset, {"theta": 0.0}, config)
+    assert out.final_state.rng_batch.draw_count == 70 + 50
+
+
 @pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
 def test_a_model_without_parameters_runs(algorithm):
     b = GraphBuilder()
@@ -1068,13 +1078,15 @@ def test_divergence_blames_the_gradient_first_then_the_parameter():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("algorithm", ["sgld", "sghmc", "sgnht"])
-def test_an_overflowing_update_leaves_the_chain_at_its_last_finite_value(algorithm):
+@pytest.mark.parametrize("algorithm, trajectory_length", [("sgld", 5), ("sghmc", 5), ("sgnht", 5), ("sghmc", 1)],
+                         ids=["sgld", "sghmc", "sgnht", "sghmc-trajectory-1"])
+def test_an_overflowing_update_leaves_the_chain_at_its_last_finite_value(algorithm, trajectory_length):
     # sghmc and sgnht take their gradient at the moved theta; a failed check
     # puts it back and writes neither momentum nor thermostat.  sgnht's first
-    # step overflows only its momentum, which its second step then spends.
+    # step, and sghmc's with one inner update, overflow only the momentum,
+    # which the step tests before writing.
     model = _scaled_data_model()
-    config = SamplerConfig(algorithm=algorithm, stepsize=1e10, minibatch_size=2)
+    config = SamplerConfig(algorithm=algorithm, stepsize=1e10, minibatch_size=2, trajectory_length=trajectory_length)
     big = Dataset({"x": np.full(4, 1e300)})
     state = ChainState(model, big, config, {"theta": np.asarray(0.5)}, **_streams(1))
     kernel = {"sgld": sgld_step, "sghmc": sghmc_step, "sgnht": sgnht_step}[algorithm]
@@ -1082,13 +1094,31 @@ def test_an_overflowing_update_leaves_the_chain_at_its_last_finite_value(algorit
         for _ in range(3):
             before = copy.deepcopy((state.theta, state.momentum, state.thermostats, state.iteration))
             kernel(state, model, big, config)
-    iteration = {"sgld": 0, "sghmc": 0, "sgnht": 1}[algorithm]
-    assert str(excinfo.value) == f"non-finite parameter for parameter 'theta' at iteration {iteration}"
-    assert excinfo.value.param == "theta" and excinfo.value.iteration == iteration == before[3]
+    what = "momentum" if algorithm == "sgnht" or trajectory_length == 1 else "parameter"
+    assert str(excinfo.value) == f"non-finite {what} for parameter 'theta' at iteration 0"
+    assert excinfo.value.param == "theta" and excinfo.value.iteration == 0 == before[3]
     assert state.theta.tobytes() == before[0].tobytes() and np.isfinite(state.theta).all()
     if algorithm != "sgld":
         assert state.momentum.tobytes() == before[1].tobytes()
     assert state.thermostats == before[2] and state.iteration == before[3]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_thermostat_leaves_the_sgnht_chain_as_it_was():
+    # A finite momentum of 1e200 has a mean square of inf: the step raises
+    # before writing theta, the momentum or the thermostat.
+    model = _scaled_data_model()
+    config = SamplerConfig(algorithm="sgnht", stepsize=1e-3, minibatch_size=2)
+    data = Dataset({"x": np.ones(4)})
+    state = ChainState(model, data, config, {"theta": np.asarray(0.5)}, momenta={"theta": np.asarray(1e200)},
+                       **_streams(1))
+    before = copy.deepcopy((state.theta, state.momentum, state.thermostats))
+    with pytest.raises(NumericalDivergence) as excinfo:
+        sgnht_step(state, model, data, config)
+    assert str(excinfo.value) == "non-finite thermostat for parameter 'theta' at iteration 0"
+    assert excinfo.value.param == "theta" and excinfo.value.iteration == 0 == state.iteration
+    assert state.theta.tobytes() == before[0].tobytes() and state.momentum.tobytes() == before[1].tobytes()
+    assert state.thermostats == before[2]
 
 
 def test_divergence_names_the_first_non_finite_tensor_in_sorted_order():

@@ -4,7 +4,11 @@ Run it in each checkout and diff the two outputs:
 
     PYTHONPATH=src python3 tools/parity.py > parity.txt
 
-Every line is a label and a digest.  It covers, per model family:
+Every line is a label and a digest.  It covers, first, the minibatch
+indices ``Rng.indices_without_replacement`` serves, 300 draws from a fresh
+stream in each regime of the blocked draw: sparse (N = 10 000, n = 100),
+heavy repair of repeats (50, 20), the complement of a smaller row (25, 20)
+and n = N (25, 25).  Then, per model family:
 
 * 200 minibatch gradient estimates, plain and control-variate, each from
   ``Graph.grad`` of the model's ``objective`` at scale N/n (the lines keep
@@ -74,6 +78,20 @@ class Digest:
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
+
+
+# (N, n) per regime of the index draw: sparse, repair, complement, n = N.
+INDEX_REGIMES = ((10_000, 100), (50, 20), (25, 20), (25, 25))
+
+
+def index_draws() -> list[str]:
+    lines = []
+    for n_total, n in INDEX_REGIMES:
+        rng = Rng(12)
+        digest = Digest()
+        digest.add({"indices": [rng.indices_without_replacement(n_total, n) for _ in range(300)]})
+        lines.append(f"indices N={n_total} n={n} x300 {digest.hexdigest()}")
+    return lines
 
 
 def family_setup(family: str):
@@ -200,6 +218,7 @@ def cli_runs(family: str, work: Path) -> list[str]:
 
 def main() -> int:
     families = sorted(FAMILIES)
+    print(*index_draws(), sep="\n")
     for family in families:
         print(*gradients(family), sep="\n")
     for family in families:

@@ -112,15 +112,18 @@ class Rng:
         repeat: sequential rejection sampling of the missing values, so each
         row is a uniform k-subset.  With k <= n_total / 2 a fresh draw is new
         to its row with probability at least 1/2, so O(log k) rounds suffice.
+        Rows are sorted in the narrowest unsigned type that holds n_total (it
+        sorts faster than int64, with the same values) and come back as int64.
         """
         generator = self._generator
         block = generator.integers(0, n_total, (max(1, _BLOCK_VALUES // max(1, k)), k))
+        block = block.astype(np.min_scalar_type(n_total))
         block.sort(axis=1)
         while True:
             repeat = block[:, 1:] == block[:, :-1]
             m = np.count_nonzero(repeat)
             if not m:
-                return block
+                return block.astype(np.int64)
             block[:, 1:][repeat] = generator.integers(0, n_total, m)
             block.sort(axis=1)
 

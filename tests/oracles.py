@@ -9,6 +9,8 @@ calls the package's density kernels directly, outside any graph, and checks
 their parameters; ``log_posterior_value`` and ``log_lik_value`` evaluate a
 model's graph forward.  ``traced_peak`` measures memory with the standard
 library's tracemalloc, for the tests that hold the package to a memory budget.
+``index_block`` is the minibatch index draw in plain int64, for the test that
+pins the library's draw bit for bit.
 """
 
 import tracemalloc
@@ -48,6 +50,23 @@ def cv_gradient(model, params, cv, minibatch, n_total) -> dict:
     here = estimate_gradient(model, params, minibatch, n_total)
     at_mode = estimate_gradient(model, cv.mode_params, minibatch, n_total)
     return {name: cv.full_grad[name] + (here[name] - at_mode[name]) for name in model.param_names}
+
+
+def index_block(generator, n_total, k):
+    """``max(1, 8192 // k)`` uniform k-subsets of ``[0, n_total)``, one sorted int64 row each.
+
+    Draws k values per row, then replaces every value repeated within its
+    row by a fresh draw and re-sorts the rows, until no row holds a repeat.
+    """
+    block = generator.integers(0, n_total, (max(1, 8192 // max(1, k)), k))
+    block.sort(axis=1)
+    while True:
+        repeat = block[:, 1:] == block[:, :-1]
+        m = np.count_nonzero(repeat)
+        if not m:
+            return block
+        block[:, 1:][repeat] = generator.integers(0, n_total, m)
+        block.sort(axis=1)
 
 
 def mixture2_logpdf(x, loc1, loc2, scale1, scale2, w1, w2):

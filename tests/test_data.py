@@ -21,6 +21,7 @@ from gradmc import (
     standard_normal,
 )
 from gradmc.data import load_csv_columns, save_csv_columns
+from oracles import index_block
 
 
 # -- minibatch size spec -------------------------------------------------------
@@ -224,13 +225,52 @@ def test_minibatch_subsets_are_jointly_uniform(n_total, n):
     assert chi2 < CHI2_UPPER_1E4[subsets - 1], (chi2, subsets - 1)
 
 
-@pytest.mark.parametrize("n_total, n", [(10_000, 100), (50, 20), (8, 4), (25, 20), (25, 25), (1, 1)])
+@pytest.mark.parametrize("n_total, n", [(10_000, 100), (50, 20), (8, 4), (25, 20), (25, 25), (1, 1),
+                                        (1_000_000, 10_000), (2**33, 3)])
 def test_indices_come_sorted_and_distinct(n_total, n):
     rng = Rng(17)
     for _ in range(300):
         indices = rng.indices_without_replacement(n_total, n)
         assert indices.shape == (n,) and indices.dtype == np.int64
         assert np.all(np.diff(indices) > 0) and indices[0] >= 0 and indices[-1] < n_total
+
+
+# The chi-square upper 1e-4 quantile at 9 999 degrees of freedom.
+CHI2_UPPER_1E4_DF9999 = 10533.496
+
+
+def test_one_row_blocks_include_each_index_uniformly():
+    # At (10 000, 5 000) a block is one row, with about 1 250 repeats to
+    # repair.  Over 400 draws each index's count is Binomial(400, 1/2); the
+    # counts sum to 400 * 5 000, so their chi-square has N - 1 degrees of
+    # freedom, each count's variance inflated by N / (N - 1).
+    n_total, n, draws = 10_000, 5_000, 400
+    rng = Rng(29)
+    counts = np.zeros(n_total)
+    for _ in range(draws):
+        counts[rng.indices_without_replacement(n_total, n)] += 1
+    assert counts.sum() == draws * n
+    variance = draws / 4 * n_total / (n_total - 1)
+    chi2 = ((counts - draws / 2) ** 2).sum() / variance
+    assert chi2 < CHI2_UPPER_1E4_DF9999, chi2
+
+
+@pytest.mark.parametrize("n_total, n", [
+    (1_000_000, 10_000), (200_000, 6_000),  # one row per block, with repeats
+    (10_000, 100), (60_000, 600),  # many rows per block
+    (255, 100), (256, 100), (65_535, 600), (65_536, 600), (2**33, 3),  # each side of 2**8 and 2**16, uint64
+    (25, 20), (25, 25), (1, 1),  # the complement, k = 0
+])
+def test_index_blocks_are_the_int64_draw_bit_for_bit(n_total, n):
+    # Two consecutive blocks per seed, so the generator must also stand
+    # where the reference draw leaves it.
+    k = min(n, n_total - n)
+    for seed in range(20):
+        rng, reference = Rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            block, expected = rng._index_block(n_total, k), index_block(reference, n_total, k)
+            assert block.dtype == np.int64
+            assert np.array_equal(block, expected), (seed, n_total, n)
 
 
 def test_a_copy_of_a_batch_stream_mid_block_serves_the_same_minibatches():

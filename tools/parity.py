@@ -7,8 +7,10 @@ Run it in each checkout and diff the two outputs:
 Every line is a label and a digest.  It covers, first, the minibatch
 indices ``Rng.indices_without_replacement`` serves, 300 draws from a fresh
 stream in each regime of the blocked draw: sparse (N = 10 000, n = 100),
-heavy repair of repeats (50, 20), the complement of a smaller row (25, 20)
-and n = N (25, 25).  Then, per model family:
+heavy repair of repeats (50, 20), the complement of a smaller row (25, 20),
+n = N (25, 25), one row per block with about 50 repeats to repair
+(1 000 000, 10 000), and indices sorted as uint64 (2**33, 3).  Then, per
+model family:
 
 * 200 minibatch gradient estimates, plain and control-variate, each from
   ``Graph.grad`` of the model's ``objective`` at scale N/n (the lines keep
@@ -22,7 +24,8 @@ and n = N (25, 25).  Then, per model family:
   sghmc steps 23 (printed last);
 * ``gen_synth`` at 20 000 rows with the family's default hyper-parameters;
 * the files ``gradmc gen`` writes, and the CSVs and manifest of
-  ``gradmc run`` over 4 families x 6 algorithms, plus one ``running-mean``
+  ``gradmc run`` over 4 families x 6 algorithms with ``--burnin 0``, so
+  every stored row of the non-CV chains counts, plus one ``running-mean``
   run and one ``--chains 3`` run per family (every ``chain.<i>.csv`` and
   ``logloss.<i>.csv``; the manifest without its wall clock and data path).
 
@@ -80,8 +83,9 @@ class Digest:
         return self._hash.hexdigest()
 
 
-# (N, n) per regime of the index draw: sparse, repair, complement, n = N.
-INDEX_REGIMES = ((10_000, 100), (50, 20), (25, 20), (25, 25))
+# (N, n) per regime of the index draw: sparse, repair, complement, n = N,
+# one row per block, uint64.
+INDEX_REGIMES = ((10_000, 100), (50, 20), (25, 20), (25, 25), (1_000_000, 10_000), (2**33, 3))
 
 
 def index_draws() -> list[str]:
@@ -195,7 +199,7 @@ def cli_runs(family: str, work: Path) -> list[str]:
         argv = ["run", "--data", str(data), "--out", str(out), "--algorithm", algorithm,
                 "--stepsize", str(STEPSIZE[family]), "--minibatch-size", "20", "--n-iters", "60",
                 "--seed", "8", "--opt-stepsize", str(STEPSIZE[family]), "--opt-iters", "40",
-                "--thin", "3", "--test-function", test_function]
+                "--burnin", "0", "--thin", "3", "--test-function", test_function]
         code = quiet_cli(argv)
         lines.append(f"run {family} {algorithm} exit {code}")
         lines += [f"run {family} {algorithm} {path.name} {file_digest(path)}"

@@ -148,7 +148,9 @@ def _resolve_burnin(burnin, config: SamplerConfig) -> int:
     # with the mode-search phase and keep the whole chain.
     if burnin is None:
         burnin = 0 if config.algorithm.endswith("cv") else 10_000
-    return min(max(int(burnin), 0), config.n_iters)
+    if int(burnin) < 0:
+        raise ConfigError("--burnin must be non-negative")
+    return min(int(burnin), config.n_iters)
 
 
 def _log_loss_fn(meta, model, test: Dataset):

@@ -2,9 +2,9 @@
 
 These are plain numpy functions over float64 arrays, and the expression
 graph's log-density nodes run them as their forwards.  The two-component
-mixture has no kernel here: the graph composes it from two
-`mvnormal_diag_logpdf` nodes and `logaddexp`.  `class_indices` is the one
-check of class labels, for the graph's categorical and the log losses alike.
+mixture and the Laplace density have no kernel here: the graph composes them
+from other nodes.  `class_indices` is the one check of class labels, for the
+graph's categorical and the log losses alike.
 """
 
 from __future__ import annotations
@@ -103,11 +103,6 @@ def mvnormal_diag_logpdf(x, loc, scale):
     z = (x - loc) / scale
     terms = -0.5 * z * z - np.log(scale) - 0.5 * LOG_2PI
     return _row_sum(terms)[..., 0]
-
-
-def laplace_logpdf(x, loc, scale):
-    """Elementwise Laplace log density."""
-    return -np.abs(x - loc) / scale - np.log(2.0 * scale)
 
 
 def gamma_logpdf(x, shape, rate):

@@ -11,8 +11,9 @@ its first axis open (``None``) so the same graph evaluates on batches of any
 size.
 
 The log densities are primitives whose forwards are the functions of
-:mod:`gradmc.densities`, except the two-component mixture, which the builder
-composes from two ``mvnormal_diag_logpdf`` nodes and ``logaddexp``.
+:mod:`gradmc.densities`, except two that the builder composes: the
+two-component mixture from two ``mvnormal_diag_logpdf`` nodes and
+``logaddexp``, and the Laplace density from ``abs``, ``divide`` and ``log``.
 
 Each (objective, wrt) pair that ``Graph.grad`` sees, and each output tuple
 that ``Graph.eval`` sees, compiles once into a plan body cached on the graph:
@@ -236,11 +237,6 @@ _OPS = {
         ("-{t}ge * {t}z / {2}", "{t}ge * {t}z / {2}", "{t}ge * ({t}z * {t}z - 1.0) / {2}"),
         pre=_Z_PRE + ("{t}ge = _np.asarray({g})[..., None]",), rows_of_input0=True, full_terms=True,
     ),
-    "laplace_logpdf": _Op(
-        "_densities.laplace_logpdf({0}, {1}, {2})",
-        ("-{g} * {t}s / {2}", "{g} * {t}s / {2}", "{g} * (_np.abs({t}diff) / ({2} * {2}) - 1.0 / {2})"),
-        pre=("{t}diff = {0} - {1}", "{t}s = _np.sign({t}diff)"), elementwise=True, full_terms=True,
-    ),
     # NaN outside the support so divergent chains trip the finiteness checks.
     "gamma_logpdf": _Op(
         "_densities.gamma_logpdf({0}, {1}, {2})",
@@ -381,7 +377,13 @@ class GraphBuilder:
     # -- log densities -------------------------------------------------------
 
     def normal_logpdf(self, x, mean, sd) -> NodeRef:
-        return self._location_scale("normal_logpdf", x, mean, sd, ("mean", "sd"))
+        """Elementwise normal log density: mean and sd are scalars or of x's shape."""
+        inputs = (self._lift(x), self._lift(mean), self._lift(sd))
+        shape = inputs[0].shape
+        for other, label in zip(inputs[1:], ("mean", "sd")):
+            if other.shape != ():
+                shape = _merge_shape(shape, other.shape, f"normal_logpdf {label}")
+        return self._append("normal_logpdf", inputs, shape)
 
     def mvnormal_diag_logpdf(self, x, loc, scale) -> NodeRef:
         x, loc, scale = self._lift(x), self._lift(loc), self._lift(scale)
@@ -395,7 +397,9 @@ class GraphBuilder:
         return self._append("mvnormal_diag_logpdf", (x, loc, scale), out_shape)
 
     def laplace_logpdf(self, x, loc, scale) -> NodeRef:
-        return self._location_scale("laplace_logpdf", x, loc, scale, ("loc", "scale"))
+        """Elementwise Laplace log density, composed so autodiff derives its gradient."""
+        return self.subtract(self.divide(self.negate(self.abs(self.subtract(x, loc))), scale),
+                             self.log(self.multiply(2.0, scale)))
 
     def gamma_logpdf(self, x, shape_param: float, rate: float) -> NodeRef:
         x = self._lift(x)
@@ -482,15 +486,6 @@ class GraphBuilder:
     def _binary(self, op, a, b) -> NodeRef:
         a, b = self._lift(a), self._lift(b)
         return self._append(op, (a, b), _elementwise_shape(a.shape, b.shape, op))
-
-    def _location_scale(self, op, x, loc, scale, labels) -> NodeRef:
-        """A per-element log density: loc and scale are scalars or of x's shape."""
-        inputs = (self._lift(x), self._lift(loc), self._lift(scale))
-        shape = inputs[0].shape
-        for other, label in zip(inputs[1:], labels):
-            if other.shape != ():
-                shape = _merge_shape(shape, other.shape, f"{op} {label}")
-        return self._append(op, inputs, shape)
 
     def _append(self, op, inputs: tuple, shape: tuple, attrs=None) -> NodeRef:
         if self._built:

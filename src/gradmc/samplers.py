@@ -18,7 +18,8 @@ holds the bits of as many one-row draws, and a row those of one draw per
 parameter in sorted name order.  The chain binds its gradient plan once over
 that vector, and gets one flat gradient per minibatch, bit for bit
 ``Graph.grad`` of ``objective`` at scale N/n; a control-variate chain binds
-one function over the chain's vector and the mode.
+one function over the chain's vector and the mode.  A kernel takes only its
+``ChainState``; sghmc and sgnht share one inner update, each with its decay.
 
 Randomness is consumed in a fixed, documented order - minibatch indices from
 one spawned substream, injected noise from another - so chains are
@@ -219,12 +220,15 @@ class ChainState:
     parameter.  Left out, momenta start at zero and a thermostat at the
     config's ``diffusion``.
 
-    The constructor resolves the config once per chain: ``stepsizes`` maps
+    A kernel takes only the state, which keeps the ``model`` and ``dataset``
+    its gradient is bound to.  The constructor resolves the config once per
+    chain, so a later change to the config moves nothing: ``stepsizes`` maps
     each parameter to its stepsize, ``eps`` repeats it per element in the
     flat layout, ``half_eps`` halves it, ``sqrt_eps`` (a momentum draw's
     scale) is its square root, ``noise_scale`` the per-element standard
     deviation of an update's injected noise (sqrt of eps for sgld, of
-    2*friction*eps for sghmc, of 2*diffusion*eps for sgnht), and
+    2*friction*eps for sghmc, of 2*diffusion*eps for sgnht), ``decay``
+    sghmc's 1 - friction, ``trajectory_length`` its inner updates, and
     ``minibatch_count`` the minibatch size in rows.  It does not validate
     them; ``SamplerHandle`` does.  ``gradient`` maps a minibatch's rows to
     the flat gradient estimate at ``theta``, bit for bit ``Graph.grad`` of
@@ -239,6 +243,8 @@ class ChainState:
                  rng_batch: Rng, rng_noise: Rng, momenta=None, thermostats=None,
                  cv: ControlVariateState | None = None):
         family = config.algorithm.removesuffix("cv")
+        self.model = model
+        self.dataset = dataset
         self.theta = model.flatten(params)
         self.params = model.views(self.theta)
         self.momentum = self.momenta = self.thermostats = None
@@ -259,6 +265,8 @@ class ChainState:
         self.sqrt_eps = np.sqrt(self.eps)
         rate = {"sghmc": 2.0 * config.friction, "sgnht": 2.0 * config.diffusion}.get(family)
         self.noise_scale = self.sqrt_eps if rate is None else np.sqrt(rate * self.eps)
+        self.decay = 1.0 - config.friction
+        self.trajectory_length = config.trajectory_length
         self.minibatch_count = resolve_minibatch_size(config.minibatch_size, dataset.n)
         self.gradient = _bind_gradient(model, dataset, self.minibatch_count, self.theta, cv)
 
@@ -363,8 +371,8 @@ def _accept(model: Model, theta: np.ndarray, candidate: np.ndarray, grad: np.nda
     theta[...] = candidate
 
 
-def _draw_gradient(state: ChainState, dataset) -> np.ndarray:
-    grad = state.gradient(sample_minibatch(dataset, state.minibatch_count, state.rng_batch).views)
+def _draw_gradient(state: ChainState) -> np.ndarray:
+    grad = state.gradient(sample_minibatch(state.dataset, state.minibatch_count, state.rng_batch).views)
     state.grad_evals += 1
     return grad
 
@@ -390,17 +398,26 @@ def _noise(rng: Rng, size: int) -> np.ndarray:
 # the thermostats as they were.  Each formula runs in the order of the
 # scalar one, so every element gets the bits the scalar formula gives it.
 
-def sgld_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
+def sgld_step(state: ChainState) -> ChainState:
     """One overdamped Langevin update: half a gradient step plus N(0, eps) noise."""
-    grad = _draw_gradient(state, dataset)
+    grad = _draw_gradient(state)
     candidate = state.theta + state.half_eps * grad
     candidate += _noise(state.rng_noise, grad.size) * state.noise_scale
-    _accept(model, state.theta, candidate, grad, state.iteration)
+    _accept(state.model, state.theta, candidate, grad, state.iteration)
     state.iteration += 1
     return state
 
 
-def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
+def _momentum_update(state: ChainState, momentum: np.ndarray, decay) -> np.ndarray:
+    """sghmc's and sgnht's inner update: move theta, draw and test a gradient, return the next momentum."""
+    state.theta += momentum
+    grad = _draw_gradient(state)
+    _check_finite(state.model, grad, state.iteration, "gradient")
+    noise = _noise(state.rng_noise, grad.size) * state.noise_scale
+    return decay * momentum + state.eps * grad + noise
+
+
+def sghmc_step(state: ChainState) -> ChainState:
     """One stored sghmc update: resample momenta, then run the inner trajectory.
 
     Each of the ``trajectory_length`` inner updates moves the parameters by the
@@ -410,19 +427,13 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     and never reaches the parameters: at ``trajectory_length`` 1 the chain is
     a random walk that ignores the posterior.
     """
-    eps = state.eps
-    alpha = config.friction
     start = state.theta.copy()
-    momentum = _noise(state.rng_noise, eps.size) * state.sqrt_eps
+    momentum = _noise(state.rng_noise, start.size) * state.sqrt_eps
     try:
-        for _ in range(config.trajectory_length):
-            state.theta += momentum
-            grad = _draw_gradient(state, dataset)
-            _check_finite(model, grad, state.iteration, "gradient")
-            noise = _noise(state.rng_noise, eps.size) * state.noise_scale
-            momentum = (1.0 - alpha) * momentum + eps * grad + noise
-        _check_finite(model, state.theta, state.iteration, "parameter")
-        _check_finite(model, momentum, state.iteration, "momentum")
+        for _ in range(state.trajectory_length):
+            momentum = _momentum_update(state, momentum, state.decay)
+        _check_finite(state.model, state.theta, state.iteration, "parameter")
+        _check_finite(state.model, momentum, state.iteration, "momentum")
     except BaseException:
         state.theta[...] = start
         raise
@@ -431,25 +442,21 @@ def sghmc_step(state: ChainState, model: Model, dataset: Dataset, config: Sample
     return state
 
 
-def sgnht_step(state: ChainState, model: Model, dataset: Dataset, config: SamplerConfig) -> ChainState:
-    """One thermostat update.
+def sgnht_step(state: ChainState) -> ChainState:
+    """One thermostat update: sghmc's inner update, with 1 - thermostat as its decay.
 
     After the momentum refresh, each parameter's thermostat moves by the gap
     between the mean-square momentum (Frobenius inner product over its
     elements) and its stepsize, steering the kinetic temperature to eps.
     """
-    eps = state.eps
+    model = state.model
+    # Each parameter's thermostat spread over its segment of the momentum.
+    decay = np.empty_like(state.eps)
+    for name, part in model.views(decay).items():
+        part[...] = 1.0 - state.thermostats[name]
     start = state.theta.copy()
     try:
-        state.theta += state.momentum
-        grad = _draw_gradient(state, dataset)
-        _check_finite(model, grad, state.iteration, "gradient")
-        noise = _noise(state.rng_noise, eps.size) * state.noise_scale
-        # Each parameter's thermostat spread over its segment of the momentum.
-        decay = np.empty_like(eps)
-        for name, part in model.views(decay).items():
-            part[...] = 1.0 - state.thermostats[name]
-        momentum = decay * state.momentum + eps * grad + noise
+        momentum = _momentum_update(state, state.momentum, decay)
         _check_finite(model, state.theta, state.iteration, "parameter")
         _check_finite(model, momentum, state.iteration, "momentum")
         thermostats = {name: state.thermostats[name] + (float(np.vdot(nu, nu)) / max(1, nu.size) - state.stepsizes[name])
@@ -522,9 +529,9 @@ class SamplerHandle:
         """Initialize the chain state; for CV algorithms this runs the mode
         search and the full-data gradient pass, and starts the chain there.
 
-        Building the ``ChainState`` resolves the stepsizes and the minibatch
-        count from the config and binds the gradient, once per chain; the
-        kernel is picked here too."""
+        Building the ``ChainState`` resolves every setting the kernel reads
+        from the config and binds the gradient, once per chain; the kernel
+        is picked here too, and a step reads the state alone."""
         config = self.config
         # The (batch, noise) pair is spawned once per handle and every init()
         # restarts fresh copies of it, so a re-initialised chain repeats itself.
@@ -551,7 +558,7 @@ class SamplerHandle:
         """Advance the chain by exactly one stored kernel update."""
         if self.state is None:
             raise LifecycleError("sampler stepped before init()")
-        self._kernel(self.state, self.model, self.dataset, self.config)
+        self._kernel(self.state)
 
     def get_params(self) -> dict[str, np.ndarray]:
         """Copy of the current parameters, detached from the chain."""

@@ -21,7 +21,6 @@ from gradmc import DomainError
 from gradmc.densities import (
     categorical_logpdf,
     gamma_logpdf,
-    laplace_logpdf,
     mvnormal_diag_logpdf,
     normal_logpdf,
 )
@@ -67,6 +66,11 @@ def index_block(generator, n_total, k):
             return block
         block[:, 1:][repeat] = generator.integers(0, n_total, m)
         block.sort(axis=1)
+
+
+def laplace_logpdf(x, loc, scale):
+    """Elementwise Laplace log density."""
+    return -np.abs(x - loc) / scale - np.log(2.0 * scale)
 
 
 def mixture2_logpdf(x, loc1, loc2, scale1, scale2, w1, w2):

@@ -519,6 +519,7 @@ SGLD = ["--algorithm", "sgld", "--stepsize", "1e-3", "--n-iters", 5]
     (["--data", "{data}", "--algorithm", "sgld"], None, 2, "--stepsize is required"),
     (["--data", "{data}", *SGLD, "--thin", 0], None, 2, "thinning interval"),
     (["--data", "{data}", *SGLD, "--chains", 0], None, 2, "--chains must be at least 1"),
+    (["--data", "{data}", *SGLD, "--burnin", -3], None, 2, "--burnin must be non-negative"),
     (["--data", "{data}", *SGLD, "--test-function", "log-loss"], None, 2,
      "log-loss test function needs a classification model"),
     (SGLD, None, 2, "--data is required"),
@@ -527,7 +528,7 @@ SGLD = ["--algorithm", "sgld", "--stepsize", "1e-3", "--n-iters", 5]
     (["--data", "{data}", *SGLD], b"x.1,,x.2\n0,1,2\n", 4, "blank column name"),
     (["--data", "{data}", *SGLD], b"x.1,x.2\n1.0,2.0\n\xff\xfe3.0,4.0\n", 4, "train.csv: not UTF-8 text"),
     (["--data", "{data}", *SGLD], b"x.1,x.\xff\n1.0,2.0\n", 4, "train.csv: not UTF-8 text"),
-], ids=["no_stepsize", "thin_0", "chains_0", "log_loss_without_labels", "no_data",
+], ids=["no_stepsize", "thin_0", "chains_0", "burnin_negative", "log_loss_without_labels", "no_data",
         "config_line_without_equals", "empty_train_csv", "blank_header_column",
         "non_utf8_train_row", "non_utf8_train_header"])
 def test_run_input_errors_exit_with_their_code(mixture_data, tmp_path, capsys, argv, train_csv,

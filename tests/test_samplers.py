@@ -139,7 +139,7 @@ def test_sgld_zero_stepsize_is_identity():
     model, dataset, _ = make_gaussian_setup()
     config = SamplerConfig(algorithm="sgld", stepsize=0.0, minibatch_size=4)
     state = ChainState(model, dataset, config, {"theta": np.asarray(0.7)}, **_streams(5))
-    sgld_step(state, model, dataset, config)
+    sgld_step(state)
     assert state.params["theta"] == 0.7
     assert state.iteration == 1
     with pytest.raises(ConfigError):
@@ -154,7 +154,7 @@ def test_sgld_flat_posterior_increments_are_injected_noise():
     increments = np.empty(10_000)
     prev = 0.0
     for i in range(increments.size):
-        sgld_step(state, model, DUMMY, config)
+        sgld_step(state)
         increments[i] = float(state.params["theta"]) - prev
         prev = float(state.params["theta"])
     assert abs(increments.var() - eps) < 0.05 * eps
@@ -299,7 +299,7 @@ def test_sghmc_full_friction_gives_pure_momentum_noise():
                        momenta={"theta": np.asarray(0.0)}, **_streams(13))
     draws = np.empty(10_000)
     for i in range(draws.size):
-        sghmc_step(state, model, DUMMY, config)
+        sghmc_step(state)
         draws[i] = float(state.momenta["theta"])
     assert abs(draws.var() - 2.0 * eps) < 0.05 * (2.0 * eps)
 
@@ -309,9 +309,9 @@ def test_sghmc_consumes_trajectory_length_gradients():
     config = SamplerConfig(algorithm="sghmc", stepsize=1e-4, minibatch_size=5, trajectory_length=5)
     state = ChainState(model, dataset, config, {"theta": np.asarray(0.0)},
                        momenta={"theta": np.asarray(0.0)}, **_streams(3))
-    sghmc_step(state, model, dataset, config)
+    sghmc_step(state)
     assert state.grad_evals == 5
-    sghmc_step(state, model, dataset, config)
+    sghmc_step(state)
     assert state.grad_evals == 10
 
 
@@ -339,7 +339,7 @@ def test_sgnht_thermostat_fixed_point():
     config = SamplerConfig(algorithm="sgnht", stepsize=eps, minibatch_size=2, diffusion=0.0)
     state = ChainState(model, DUMMY, config, {"theta": np.asarray(0.0)},
                        momenta={"theta": np.asarray(0.5)}, thermostats={"theta": 0.0}, **_streams(1))
-    sgnht_step(state, model, DUMMY, config)
+    sgnht_step(state)
     # zero friction, zero gradient, zero noise: nu is unchanged, nu^2 == eps
     assert float(state.momenta["theta"]) == 0.5
     assert state.thermostats["theta"] == 0.0
@@ -353,7 +353,7 @@ def test_sgnht_matrix_thermostat_uses_frobenius_product():
     config = SamplerConfig(algorithm="sgnht", stepsize=eps, minibatch_size=2, diffusion=0.0)
     state = ChainState(model, DUMMY, config, {"w": np.zeros((2, 3))},
                        momenta={"w": np.full((2, 3), v)}, thermostats={"w": 0.0}, **_streams(1))
-    sgnht_step(state, model, DUMMY, config)
+    sgnht_step(state)
     assert state.thermostats["w"] == pytest.approx(v * v - eps, rel=1e-12)
 
 
@@ -375,7 +375,7 @@ def test_sgnht_keeps_one_thermostat_per_parameter_segment():
     state = ChainState(model, DUMMY, config, {"a": np.asarray(0.0), "w": np.zeros((2, 3))},
                        momenta={"a": np.asarray(nu["a"]), "w": np.full((2, 3), nu["w"])},
                        thermostats=xi, **_streams(1))
-    sgnht_step(state, model, DUMMY, config)
+    sgnht_step(state)
     for name in ("a", "w"):
         assert np.all(state.params[name] == nu[name])
         new = (1.0 - xi[name]) * nu[name]
@@ -501,7 +501,7 @@ def test_a_copy_of_the_noise_stream_continues_the_chain_mid_block():
                         rng_noise=copy.deepcopy(start.rng_noise))
     for _ in range(5):
         handle.step()
-        sgld_step(copied, model, dataset, config)
+        sgld_step(copied)
         assert copied.params["theta"].tobytes() == handle.state.params["theta"].tobytes()
 
 
@@ -657,7 +657,7 @@ def test_bound_gradient_is_the_public_estimate_bit_for_bit(family, cv):
             want = estimate_gradient(model, state.params, minibatch, dataset.n)
         got = state.gradient(minibatch.views)
         assert got.shape == state.theta.shape and got.tobytes() == model.flatten(want).tobytes()
-        sgld_step(state, model, dataset, config)
+        sgld_step(state)
 
 
 @pytest.mark.parametrize("algorithm", ["sgld", "sgldcv"])
@@ -793,7 +793,7 @@ def test_stepsizes_and_minibatch_count_resolve_once_per_chain(algorithm, monkeyp
     )
     kernel = {"sgld": sgld_step, "sghmc": sghmc_step, "sgnht": sgnht_step}[algorithm]
     for _ in range(5):
-        kernel(by_hand, model, dataset, config)
+        kernel(by_hand)
     resolved = []
     monkeypatch.setattr(SamplerConfig, "resolved_stepsizes", lambda self, names: resolved.append(names))
     monkeypatch.setattr(gradmc.samplers, "resolve_minibatch_size", lambda *args: resolved.append(args))
@@ -801,6 +801,25 @@ def test_stepsizes_and_minibatch_count_resolve_once_per_chain(algorithm, monkeyp
         handle.step()
     assert resolved == []
     assert handle.state.params["theta"].tobytes() == by_hand.params["theta"].tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["sghmc", "sgnht"])
+def test_a_config_changed_after_init_moves_nothing(algorithm):
+    # Every setting a kernel reads is resolved once, when init() builds the
+    # chain state: a config changed afterwards is not applied in part.
+    model, dataset, _ = make_gaussian_setup(n=40, seed=3)
+    kept, changed = (SamplerHandle(model, dataset, {"theta": 0.1},
+                                   SamplerConfig(algorithm=algorithm, stepsize=1e-3, minibatch_size=10, seed=6)).init()
+                     for _ in range(2))
+    changed.config.friction, changed.config.trajectory_length = 0.9, 2
+    changed.config.diffusion, changed.config.stepsize = 0.5, 0.1
+    for _ in range(20):
+        kept.step()
+        changed.step()
+    a, b = kept.state, changed.state
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert a.momentum.tobytes() == b.momentum.tobytes()
+    assert a.thermostats == b.thermostats and a.grad_evals == b.grad_evals
 
 
 def test_cv_handle_starts_from_mode():
@@ -1058,7 +1077,7 @@ def test_divergence_blames_the_gradient_first_then_the_parameter():
     infinite = Dataset({"x": np.full(4, np.inf)})
     state = ChainState(model, infinite, config, {"theta": np.asarray(0.5)}, **_streams(1))
     with pytest.raises(NumericalDivergence) as excinfo:
-        sgld_step(state, model, infinite, config)
+        sgld_step(state)
     assert str(excinfo.value) == "non-finite gradient for parameter 'theta' at iteration 0"
     assert excinfo.value.param == "theta" and excinfo.value.iteration == 0
     assert state.params["theta"] == 0.5 and state.iteration == 0
@@ -1066,7 +1085,7 @@ def test_divergence_blames_the_gradient_first_then_the_parameter():
     big = Dataset({"x": np.full(4, 1e300)})
     state = ChainState(model, big, config, {"theta": np.asarray(0.5)}, **_streams(1))
     with pytest.raises(NumericalDivergence) as excinfo:
-        sgld_step(state, model, big, config)
+        sgld_step(state)
     assert str(excinfo.value) == "non-finite parameter for parameter 'theta' at iteration 0"
     assert excinfo.value.param == "theta" and excinfo.value.iteration == 0
     # The mode search raises the same two errors, at the iteration it reached.
@@ -1093,7 +1112,7 @@ def test_an_overflowing_update_leaves_the_chain_at_its_last_finite_value(algorit
     with pytest.raises(NumericalDivergence) as excinfo:
         for _ in range(3):
             before = copy.deepcopy((state.theta, state.momentum, state.thermostats, state.iteration))
-            kernel(state, model, big, config)
+            kernel(state)
     what = "momentum" if algorithm == "sgnht" or trajectory_length == 1 else "parameter"
     assert str(excinfo.value) == f"non-finite {what} for parameter 'theta' at iteration 0"
     assert excinfo.value.param == "theta" and excinfo.value.iteration == 0 == before[3]
@@ -1114,7 +1133,7 @@ def test_an_overflowing_thermostat_leaves_the_sgnht_chain_as_it_was():
                        **_streams(1))
     before = copy.deepcopy((state.theta, state.momentum, state.thermostats))
     with pytest.raises(NumericalDivergence) as excinfo:
-        sgnht_step(state, model, data, config)
+        sgnht_step(state)
     assert str(excinfo.value) == "non-finite thermostat for parameter 'theta' at iteration 0"
     assert excinfo.value.param == "theta" and excinfo.value.iteration == 0 == state.iteration
     assert state.theta.tobytes() == before[0].tobytes() and state.momentum.tobytes() == before[1].tobytes()

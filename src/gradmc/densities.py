@@ -32,7 +32,8 @@ PROB_CLAMP = 1e-12
 # sum).  Wider rows keep numpy's reduce: each column pass then reads every
 # cache line of the array, and measured slower.  So do other layouts, whose
 # order numpy picks differently (it sums an F-ordered array's columns
-# sequentially), and rank-1 input.
+# sequentially), and rank-1 input.  The softmax copies class-major instead
+# (graph._softmax); for one sum that copy does not pay (12000 x 10: 77 -> 183 us).
 def _columns(x, rows_per_column):
     """The columns of x's rows, or None where numpy's own reduce is used."""
     k = x.shape[-1] if x.ndim > 1 else 0

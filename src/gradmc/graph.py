@@ -16,36 +16,39 @@ two-component mixture from two ``mvnormal_diag_logpdf`` nodes and
 ``logaddexp``, and the Laplace density from ``abs``, ``divide`` and ``log``.
 
 Each (objective, wrt) pair that ``Graph.grad`` sees, and each output tuple
-that ``Graph.eval`` sees, compiles once into a plan body cached on the graph:
-one Python function, emitted as straight-line source from per-op templates
-and ``exec``-ed once.  It takes its leaves positionally, unchecked, and a
-gradient body writes one flat vector.  ``Graph.grad``/``Graph.eval`` check
-and conform the bindings, then call it; a sampler chain binds it once
-(:class:`gradmc.samplers.ChainState`).  Rank-0 leaves and constants and the
-seed adjoint are numpy scalars in a body: the same IEEE bits as rank-0
-arrays, without numpy's array dispatch.  Shapes, and which gradients flow
-where, are decided while emitting.  A gradient plan computes only the
-contributions someone consumes, so data, constants and variables nobody
-asked for cost no backward work, and only the forward values its backward
-steps read, so the objective's own value is never computed.  Class labels
-are checked wherever ``categorical_logpdf`` is evaluated or differentiated
-through, by its forward or its backward; a gradient that never reaches it
-neither reads nor checks them.  The rank-0 adjoint of a ``reduce_sum`` is
-passed on as it is wherever every term that reads it already has the
-summed node's full shape (the per-row terms of the log densities, for
-one), through the pass-throughs of ``add``/``subtract``/``negate`` to
-inputs of that shape whose own terms do too; it is broadcast only where a
-term needs the full shape from it: a sum into a scalar input, ``matmul``,
-``broadcast_add`` and a returned gradient.  A backward statement drops a
-factor that is the rank-0 constant 1.0.  The results are the same bits
-either way.  Every gradient and output ``grad`` and ``eval`` return is an
-array of its own, rank-0 ones included, writeable and of its node's
-declared shape.  Plans never change once built, so graphs stay immutable
-and shareable across threads.
+that ``Graph.eval`` sees, compiles once into a plan body cached on the
+graph: one Python function, emitted as straight-line source from per-op
+templates and ``exec``-ed once.  It takes its leaves positionally,
+unchecked, and a gradient body writes one flat vector.
+``Graph.grad``/``Graph.eval`` check and conform the bindings, then call it;
+a sampler chain binds it once (:class:`gradmc.samplers.ChainState`).  Rank-0
+leaves and constants and the seed adjoint are numpy scalars in a body: the
+same IEEE bits as rank-0 arrays, without numpy's array dispatch.  Shapes,
+and which gradients flow where, are decided while emitting.  A gradient plan
+computes only the contributions someone consumes, so data, constants and
+variables nobody asked for cost no backward work, and only the forward
+values its backward steps read, so the objective's own value is never
+computed.  Class labels are checked wherever ``categorical_logpdf`` is
+evaluated or differentiated through, by its forward or its backward; a
+gradient that never reaches it neither reads nor checks them (a chain checks
+its data's labels once).  The rank-0 adjoint of a ``reduce_sum`` is passed
+on as it is wherever every term that reads it already has the summed node's
+full shape (the per-row terms of the log densities, for one), through the
+pass-throughs of ``add``/``subtract``/``negate`` to inputs of that shape
+whose own terms do too; it is broadcast only where a term needs the full
+shape from it: a sum into a scalar input, ``matmul``, ``broadcast_add`` and
+a returned gradient.  A backward statement drops a factor that is the rank-0
+constant 1.0 or the seed, and the subtraction of a rank-0 +0.0; an adjoint
+passed on unchanged gets no statement, and the softmax runs class-major.
+The results are the same bits either way.  Every gradient and output
+``grad`` and ``eval`` return is an array of its own, rank-0 ones included,
+writeable and of its node's declared shape.  Plans never change once built,
+so graphs stay immutable and shareable across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import string
@@ -166,9 +169,33 @@ def _sigmoid(x):
 
 
 def _softmax(x):
-    shifted = x - _row_max(x)
-    e = np.exp(shifted)
-    return e / _row_sum(e)
+    """``e / e.sum(-1, keepdims=True)`` for ``e = np.exp(x - x.max(-1, keepdims=True))``, bit for bit.
+
+    From 128 rows of 2 <= k < 16 classes, each step runs over a class-major
+    copy: on one core of an AVX-512 Xeon with numpy 2.4, 600 x 10 goes from
+    53 to 37 us, 600 x 3 from 23 to 16 us (8-27% faster at 128 rows, up to
+    26% slower at 64).  The sum adds ``_row_sum``'s lanes without its +0.0
+    start (an exp is never -0.0); rows whose sum is NaN take the formula.
+    """
+    k = x.shape[-1] if x.ndim > 1 else 0
+    if not 2 <= k < 16 or not x.flags.c_contiguous or x.size < 128 * k:
+        e = np.exp(x - _row_max(x))
+        return e / _row_sum(e)
+    rows = x.reshape(-1, k)
+    ct = rows.T.copy()
+    ct -= np.maximum.reduce(ct, 0)
+    np.exp(ct, out=ct)
+    lanes = 8 if k >= 8 else 2
+    total = ct[:lanes]
+    while len(total) > 1:
+        total = total[0::2] + total[1::2]
+    total = sum(ct[lanes:], total[0])
+    ct /= total
+    out = np.ascontiguousarray(ct.T)
+    if (nan := np.isnan(total)).any():
+        e = np.exp(rows[nan] - rows[nan].max(axis=-1, keepdims=True))
+        out[nan] = e / e.sum(axis=-1, keepdims=True)
+    return out.reshape(x.shape)
 
 
 class _Op(NamedTuple):
@@ -247,8 +274,8 @@ _OPS = {
         "_densities.categorical_logpdf({0}, {1})",
         ("{t}gprobs", None),
         pre=(
-            "{t}idx = _densities.class_indices({1}, {0}.shape[1])",
-            "{t}rows = _np.arange({t}idx.size)",
+            "{t}idx = {1}.astype(_np.int64) if _checked else _densities.class_indices({1}, {0}.shape[1])",
+            "{t}rows = _row_numbers({t}idx.size)",
             "{t}picked = {0}[{t}rows, {t}idx]",
             "{t}gprobs = _np.zeros_like({0})",
             "{t}gprobs[{t}rows, {t}idx] = _np.where("
@@ -257,9 +284,12 @@ _OPS = {
         full_terms=True,
     ),
 }
+_SCALAR_GAMMA = _OPS["gamma_logpdf"]._replace(  # a rank-0 input's support: no np.where
+    backward=("{g} * (({1} - 1.0) / {0} - {2} if {0} > 0.0 else _np.nan)", None, None), pre=())
 _FIELDS = string.Formatter()
-# A factor `` * v<i>`` or `` / v<i>``, as the right operand of its operator.
-_FACTOR = re.compile(r" [*/] (v\d+)(?![\w.\[])")
+# `` * v<i>`` or `` / v<i>`` as a right operand, or the seed leading a product (not ``-_one``: -z flips a NaN).
+_FACTOR = re.compile(r" [*/] (v\d+|_one)(?![\w.\[])|(?:^|(?<=\())(_one) \* ")
+_SUBTRAHEND = re.compile(r" - (v\d+)(?=\)|$| [-+])")  # `` - v<i>`` as a whole operand
 
 
 def _fields(templates) -> set:
@@ -579,12 +609,23 @@ class Graph:
                 return table[name]
         raise UnknownVariable(f"{name!r} names no output, variable or placeholder")
 
+    def _check_labels(self, data) -> bool:
+        """Check every categorical's labels over all rows of ``data``, if each is a placeholder there."""
+        nodes = [node for node in self._nodes if node.op == "categorical_logpdf"]
+        leaves = [self._nodes[node.inputs[1]] for node in nodes]
+        if not nodes or any(leaf.op != "placeholder" or leaf.attrs["name"] not in data for leaf in leaves):
+            return False
+        for node, leaf in zip(nodes, leaves):
+            densities.class_indices(data[leaf.attrs["name"]], self._nodes[node.inputs[0]].shape[1])
+        return True
+
     def _grad_plan(self, objective: str, wrt: tuple) -> tuple[tuple, Callable]:
         """The (leaves, body) pair of a gradient, compiled on first use.
 
         ``body`` takes the value of each leaf in ``leaves`` positionally and
         returns one new float64 vector: the gradients by ``wrt``, each
-        row-major, one after another.
+        row-major, one after another.  Called with ``_checked=True`` after
+        ``_check_labels`` returned True, it only casts the labels.
         """
         key = ("grad", objective, wrt)
         plan = self._plans.get(key)
@@ -652,7 +693,7 @@ class Graph:
             for node in reversed(nodes):
                 if not (node.inputs and on_path[node.index] and has_adjoint[node.index]):
                     continue
-                op = _OPS[node.op]
+                op = _SCALAR_GAMMA if node.op == "gamma_logpdf" and node.shape == () else _OPS[node.op]
                 contribs = [(k, i, text) for k, (i, text) in enumerate(zip(node.inputs, op.backward))
                             if on_path[i] and text is not None]
                 if not contribs:
@@ -689,6 +730,7 @@ class Graph:
         ns = {
             "_np": np, "_densities": densities, "_sigmoid": _sigmoid, "_softmax": _softmax,
             "_row_sum": _row_sum, "_one": np.float64(1.0),
+            "_row_numbers": functools.lru_cache(maxsize=16)(np.arange),  # only read
             # ``x.sum(axis)`` without the method's Python wrapper: the same reduction.
             "_sum": np.add.reduce,
         }
@@ -696,14 +738,16 @@ class Graph:
         def fill(text, node, **fields):
             return text.format(*(f"v{i}" for i in node.inputs), **fields)
 
-        # Multiplying or dividing by 1.0 gives its operand's bits, so a
-        # backward statement drops a factor that is the constant 1.0 (a unit
-        # scale, say): two fewer array passes per such density term.
-        unit = {f"v{node.index}" for node in nodes
-                if node.op == "constant" and node.shape == () and node.attrs["value"] == 1.0}
+        # Multiplying or dividing by 1.0 gives its operand's bits, and so does
+        # subtracting +0.0: a backward statement drops a factor of the constant
+        # 1.0 (a unit scale) or the seed, and a constant +0.0 (a zero mean).
+        scalars = {f"v{n.index}": n.attrs["value"] for n in nodes if n.op == "constant" and n.shape == ()}
+        unit = {"_one"} | {name for name, value in scalars.items() if value == 1.0}
+        zero = {name for name, value in scalars.items() if value == 0.0 and not np.signbit(value)}
 
         def fill_backward(text, node, **fields):
-            return _FACTOR.sub(lambda m: "" if m[1] in unit else m[0], fill(text, node, **fields))
+            text = _FACTOR.sub(lambda m: "" if (m[1] or m[2]) in unit else m[0], fill(text, node, **fields))
+            return _SUBTRAHEND.sub(lambda m: "" if m[1] in zero else m[0], text)
 
         grad_lines = []
         if grad:
@@ -732,11 +776,11 @@ class Graph:
 
                 return op.full_terms or op.elementwise and all(full_term(i, text) for _, i, text in contribs)
 
-            grad_lines.append(f"g{targets[0]} = _one")
-            assigned = set()
+            # The name each adjoint is read as: one passed on bare gets no line.
+            adjoint = {targets[0]: "_one"}
             for node, op, contribs in backward:
                 idx = node.index
-                fields = {"g": f"g{idx}", "y": f"v{idx}", "t": f"t{idx}_"}
+                fields = {"g": adjoint[idx], "y": f"v{idx}", "t": f"t{idx}_"}
                 grad_lines.extend(fill_backward(text, node, **fields) for text in op.pre)
                 for k, i, text in contribs:
                     term = fill_backward(text, node, **fields)
@@ -746,11 +790,14 @@ class Graph:
                         term = f"_sum({term}, 0)"
                     elif op.sums and nodes[i].shape != () and not full_shaped(i):
                         term = f"_np.broadcast_to({term}, {shape_of(i)})"
-                    if i in assigned:
-                        grad_lines.append(f"g{i} = g{i} + ({term})")
+                    if i in adjoint:
+                        grad_lines.append(f"g{i} = {adjoint[i]} + ({term})")
+                    elif term.isidentifier():
+                        adjoint[i] = term
+                        continue
                     else:
                         grad_lines.append(f"g{i} = {term}")
-                    assigned.add(i)
+                    adjoint[i] = f"g{i}"
             # Writing into a new vector copies, so the result never shares
             # memory with a forward value or a read-only broadcast view.
             start = 0
@@ -758,9 +805,9 @@ class Graph:
                 idx = self._variables[name]
                 stop = start + math.prod(nodes[idx].shape)
                 if has_adjoint[idx] and nodes[idx].shape == ():
-                    grad_lines.append(f"_out[{start}] = g{idx}")
+                    grad_lines.append(f"_out[{start}] = {adjoint[idx]}")
                 elif has_adjoint[idx]:
-                    grad_lines.append(f"_out[{start}:{stop}] = g{idx}.reshape(-1)")
+                    grad_lines.append(f"_out[{start}:{stop}] = {adjoint[idx]}.reshape(-1)")
                 start = stop
             grad_lines.insert(0, f"_out = _np.zeros({start})")
             result = "_out"
@@ -777,7 +824,7 @@ class Graph:
                  for node in nodes if keep[node.index] and node.inputs]
         lines += grad_lines
         lines.append(f"return {result}")
-        params = ", ".join(f"v{node.index}" for node in leaves)
+        params = ", ".join([f"v{node.index}" for node in leaves] + ["_checked=False"] * grad)
         source = f"def plan({params}):\n" + "".join(f"    {line}\n" for line in lines)
         exec(compile(source, "<gradmc plan>", "exec"), ns)
         return leaves, ns["plan"]

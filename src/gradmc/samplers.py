@@ -228,8 +228,9 @@ class ChainState:
     scale) is its square root, ``noise_scale`` the per-element standard
     deviation of an update's injected noise (sqrt of eps for sgld, of
     2*friction*eps for sghmc, of 2*diffusion*eps for sgnht), ``decay``
-    sghmc's 1 - friction, ``trajectory_length`` its inner updates, and
-    ``minibatch_count`` the minibatch size in rows.  It does not validate
+    sghmc's 1 - friction, ``trajectory_length`` its inner updates,
+    ``minibatch_count`` the minibatch size in rows, and ``sizes`` each
+    parameter's element count.  It does not validate
     them; ``SamplerHandle`` does.  ``gradient`` maps a minibatch's rows to
     the flat gradient estimate at ``theta``, bit for bit ``Graph.grad`` of
     ``objective`` at scale N/n; given ``cv``, to the full gradient plus the
@@ -259,6 +260,7 @@ class ChainState:
         self.rng_noise = rng_noise
         self.grad_evals = 0
         self.stepsizes = config.resolved_stepsizes(model.param_names)
+        self.sizes = [math.prod(model.param_shapes[name]) for name in model.param_names]
         self.eps = model.flatten({name: np.full(shape, self.stepsizes[name])
                                   for name, shape in model.param_shapes.items()})
         self.half_eps = 0.5 * self.eps
@@ -288,8 +290,9 @@ def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray,
     such gradients, at ``theta`` and at the mode, from one call.  A call reads
     each rank-0 parameter from its point as a numpy scalar; every other
     parameter is a view of it, and the scale N/n is a constant.  The data's
-    shapes are checked here, once.
+    shapes and class labels are checked here, once.
     """
+    checked = ", _checked=True" if model.graph._check_labels(dataset) else ""
     leaves, body = model.graph._grad_plan("objective", model.param_names)
     points = [theta] if cv is None else [theta, model.flatten(cv.mode_params)]
     ns = {"_body": body, "_scale": np.asarray(dataset.n / n)[()]}  # rank-0 as a numpy scalar
@@ -314,7 +317,7 @@ def _bind_gradient(model: Model, dataset: Dataset, n: int, theta: np.ndarray,
             value = f"d{k}"
         for point_args in args:
             point_args.append(value)
-    calls = [f"_body({', '.join(point_args)})" for point_args in args]
+    calls = [f"_body({', '.join(point_args)}{checked})" for point_args in args]
     if cv is None:
         lines.append(f"return {calls[0]}")
     else:
@@ -451,9 +454,7 @@ def sgnht_step(state: ChainState) -> ChainState:
     """
     model = state.model
     # Each parameter's thermostat spread over its segment of the momentum.
-    decay = np.empty_like(state.eps)
-    for name, part in model.views(decay).items():
-        part[...] = 1.0 - state.thermostats[name]
+    decay = np.repeat(1.0 - np.array([state.thermostats[name] for name in model.param_names]), state.sizes)
     start = state.theta.copy()
     try:
         momentum = _momentum_update(state, state.momentum, decay)
@@ -529,10 +530,11 @@ class SamplerHandle:
         """Initialize the chain state; for CV algorithms this runs the mode
         search and the full-data gradient pass, and starts the chain there.
 
-        Building the ``ChainState`` resolves every setting the kernel reads
-        from the config and binds the gradient, once per chain; the kernel
-        is picked here too, and a step reads the state alone."""
+        It validates the config again, then the ``ChainState`` resolves every
+        setting the kernel reads from it and binds the gradient, once per
+        chain; the kernel is picked here too, and a step reads the state alone."""
         config = self.config
+        config.validate(self.model.param_names)
         # The (batch, noise) pair is spawned once per handle and every init()
         # restarts fresh copies of it, so a re-initialised chain repeats itself.
         if self._substreams is None:

@@ -867,3 +867,78 @@ def test_softmax_matches_the_plain_numpy_formula_in_any_layout(layout):
         y, gx = reference(x, w)
         assert _same_bits(graph.eval({"v": x}, ["soft"])["soft"], y), k
         assert _same_bits(graph.grad("out", ["v"], {"v": x, "w": w})["v"], gx), k
+
+
+@pytest.mark.parametrize("k", range(2, 16))
+def test_class_major_softmax_is_the_plain_formula_bit_for_bit(k):
+    # The inputs hold rows of zeros of both signs, infinities and NaNs of
+    # both signs; their C-layout arrays have enough rows for the
+    # class-major path.
+    from gradmc.graph import _softmax
+
+    for label, x in _reduction_inputs(k):
+        with np.errstate(invalid="ignore"):
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+            assert _same_bits(_softmax(x), e / e.sum(axis=-1, keepdims=True)), label
+
+
+def _bayes_nn_reference(params, x, y, scale):
+    """The bayes_nn objective's gradient in plain numpy: softmax as x.max and
+    e.sum, column sums as np.add.reduce(., 0), the plan's matmuls, and each
+    prior term before the likelihood's."""
+    from gradmc.densities import PROB_CLAMP
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    hidden = softmax(x @ params["B"] + params["b"])
+    probs = softmax(hidden @ params["A"] + params["a"])
+    rows, labels = np.arange(y.size), y.astype(np.int64)
+    picked = probs[rows, labels]
+    g_probs = np.zeros_like(probs)
+    g_probs[rows, labels] = np.where(picked > PROB_CLAMP, np.asarray(scale) / picked, 0.0)
+    g_out = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+    g_hidden = g_out @ params["A"].T
+    g_in = hidden * (g_hidden - (g_hidden * hidden).sum(axis=-1, keepdims=True))
+    likelihood = {"A": hidden.T @ g_out, "a": np.add.reduce(g_out, 0),
+                  "B": x.T @ g_in, "b": np.add.reduce(g_in, 0)}
+    grads = {}
+    for name, term in likelihood.items():
+        lam = params[f"lambda_{name}"][()]
+        sd = 1.0 / np.sqrt(lam)
+        z = (params[name] - 0.0) / sd
+        grads[name] = -1.0 * z / sd + term
+        g_sd = ((z * z - 1.0) / sd).sum()
+        grads[f"lambda_{name}"] = np.asarray((1.0 - 1.0) / lam - 1.0 + -0.5 * g_sd * sd * sd * sd)
+    return grads
+
+
+def test_bayes_nn_gradient_is_the_plain_numpy_formula_bit_for_bit():
+    # 600 rows at the benchmark's network, past every fast-path threshold,
+    # through Graph.grad and a chain's bound gradient.  Every 15th row is
+    # zeros, so its hidden logits are the biases plus the matmul's +0.0,
+    # and tie at a zero maximum: four biases are zeros of either sign.
+    from gradmc import ChainState, SamplerConfig
+
+    spec = FAMILIES["bayes_nn"]
+    hyper = {"input_dim": 20, "hidden": 10, "classes": 3}
+    model = spec.build(**hyper)
+    data = gen_synth("bayes_nn", 6000, Rng(8), n_test=2, **hyper).train
+    rows = {"X": np.array(data["X"][:600]), "y": data["y"][:600]}
+    rows["X"][::15] = 0.0
+    params = model.check_params(spec.init_params(model, Rng(9)))
+    params["b"][:4] = [0.0, -0.0, 0.0, -0.0]
+    params["b"][4:] = -1.0 - np.abs(params["b"][4:])
+    params.update({"lambda_A": np.asarray(0.5), "lambda_B": np.asarray(2.0),
+                   "lambda_a": np.asarray(3.0), "lambda_b": np.asarray(0.75)})
+    hidden = rows["X"] @ params["B"] + params["b"]
+    assert np.count_nonzero((hidden.max(axis=1) == 0.0) & ((hidden == 0.0).sum(axis=1) == 4)) == 40
+    scale = data.n / 600
+    want = _bayes_nn_reference(params, rows["X"], rows["y"], scale)
+    got = model.graph.grad("objective", model.param_names, {**rows, **params, "__grad_scale__": scale})
+    for name in model.param_names:
+        assert _same_bits(got[name], want[name]), name
+    config = SamplerConfig(algorithm="sgld", stepsize=1e-4, minibatch_size=600)
+    state = ChainState(model, data, config, params, Rng(1), Rng(2))
+    assert _same_bits(state.gradient(rows), model.flatten(want))

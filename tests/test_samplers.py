@@ -12,6 +12,7 @@ from gradmc import (
     ChainState,
     ConfigError,
     Dataset,
+    DomainError,
     Graph,
     GraphBuilder,
     LifecycleError,
@@ -679,6 +680,26 @@ def test_a_wrong_data_shape_raises_at_init(family, entries, algorithm, monkeypat
     assert draws == []
 
 
+@pytest.mark.parametrize("algorithm", ["sghmc", "sghmccv"])
+def test_a_bad_label_raises_at_init(algorithm, monkeypatch):
+    # A chain checks the dataset's class labels once, when it binds its
+    # gradient: one label out of range fails init() before any minibatch is
+    # drawn, not when some minibatch happens to hold its row.
+    hyper = {"input_dim": 5, "hidden": 4, "classes": 3}
+    model = FAMILIES["bayes_nn"].build(**hyper)
+    train = gen_synth("bayes_nn", 200, Rng(3), n_test=2, **hyper).train
+    labels = np.array(train["y"])
+    labels[137] = 3.0
+    config = SamplerConfig(algorithm=algorithm, stepsize=1e-4, minibatch_size=20, opt_stepsize=1e-4, opt_iters=5)
+    handle = SamplerHandle(model, Dataset({"X": train["X"], "y": labels}),
+                           FAMILIES["bayes_nn"].init_params(model, Rng(1)), config)
+    draws = []
+    monkeypatch.setattr(gradmc.samplers, "sample_minibatch", lambda *args: draws.append(args))
+    with pytest.raises(DomainError, match="got 3.0"):
+        handle.init()
+    assert draws == [] and handle.state is None
+
+
 # -- find_mode -----------------------------------------------------------------------
 
 def test_find_mode_converges_to_conjugate_mode():
@@ -1177,6 +1198,19 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="sghmc", stepsize=1e-3, trajectory_length=0))
+
+
+def test_init_validates_a_config_changed_after_construction():
+    # init() resolves the settings, so it validates them again: a config
+    # made invalid after the handle was built fails there, before any step.
+    model, dataset, _ = make_gaussian_setup(n=40, seed=3)
+    handle = SamplerHandle(model, dataset, {"theta": 0.1},
+                           SamplerConfig(algorithm="sghmc", stepsize=1e-3, minibatch_size=10, seed=6))
+    handle.config.friction = 5.0
+    handle.config.trajectory_length = 0
+    with pytest.raises(ConfigError):
+        handle.init()
+    assert handle.state is None
 
 
 def test_initial_params_shape_validated():

@@ -21,7 +21,13 @@ model family:
   per-name stepsize, 60 steps each through ``run_chain``;
 * sgld and sghmc chains on a 2087-parameter ``bayes_nn``, whose noise rows
   are drawn 3 to a block, so 12 sgld steps cross 3 block refills and 12
-  sghmc steps 23 (printed last);
+  sghmc steps 23;
+* ``bayes_nn`` at the benchmark's network (20 inputs, 10 hidden units, 3
+  classes) and minibatch size, where the row-reduction and softmax fast
+  paths apply (printed last): 200 gradients of 600-row minibatches of a
+  6 000-row ``gen_synth`` set, each from a chain's bound gradient
+  (``ChainState.gradient``) and from ``Graph.grad``, and one ``probs``
+  evaluation over 12 000 rows;
 * ``gen_synth`` at 20 000 rows with the family's default hyper-parameters;
 * the files ``gradmc gen`` writes, and the CSVs and manifest of
   ``gradmc run`` over 4 families x 6 algorithms with ``--burnin 0``, so
@@ -50,6 +56,7 @@ from gradmc import (
     ALGORITHMS,
     FAMILIES,
     NumericalDivergence,
+    ChainState,
     Rng,
     SamplerConfig,
     full_log_posterior_grad,
@@ -174,6 +181,30 @@ def refill_chains() -> list[str]:
     return lines
 
 
+def benchmark_shapes() -> list[str]:
+    hyper = {"input_dim": 20, "hidden": 10, "classes": 3}
+    spec = FAMILIES["bayes_nn"]
+    model = spec.build(**hyper)
+    generated = gen_synth("bayes_nn", 6000, Rng(3), n_test=12_000, **hyper)
+    train = generated.train
+    params = model.check_params(spec.init_params(model, Rng(4)))
+    config = SamplerConfig(algorithm="sgld", stepsize=1e-5, minibatch_size=600)
+    state = ChainState(model, train, config, params, Rng(1), Rng(2))
+    bound, graph = Digest(), Digest()
+    rng = Rng(5)
+    for _ in range(200):
+        rows = sample_minibatch(train, 600, rng).views
+        bound.add({"grad": state.gradient(rows)})
+        graph.add(model.graph.grad("objective", model.param_names, {**rows, **params, SCALE: train.n / 600}))
+    probs = Digest()
+    probs.add({"probs": model.eval_output("probs", params, {"X": generated.test["X"]})})
+    return [
+        f"grad bayes_nn-20-10-3 bound n=600 x200 {bound.hexdigest()}",
+        f"grad bayes_nn-20-10-3 Graph.grad n=600 x200 {graph.hexdigest()}",
+        f"eval bayes_nn-20-10-3 probs n=12000 {probs.hexdigest()}",
+    ]
+
+
 def file_digest(path: Path) -> str:
     if path.name == "manifest.json":
         manifest = json.loads(path.read_text())
@@ -231,6 +262,7 @@ def main() -> int:
         for family in families:
             print(*cli_runs(family, Path(tmp)), sep="\n")
     print(*refill_chains(), sep="\n")
+    print(*benchmark_shapes(), sep="\n")
     return 0
 
 

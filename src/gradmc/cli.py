@@ -104,12 +104,21 @@ def cmd_gen(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-def _load_meta(data_dir: Path) -> dict:
+def _load_meta(data_dir: Path):
+    """The contents of ``meta.json`` and the model they name, or ConfigError naming the file."""
     meta_path = data_dir / "meta.json"
     if not meta_path.exists():
         raise ConfigError(f"no meta.json under {data_dir}")
-    with open(meta_path) as handle:
-        return json.load(handle)
+    try:
+        with open(meta_path, encoding="utf-8") as handle:
+            meta = json.load(handle)
+        if not isinstance(meta, dict) or not isinstance(meta.get("hyper"), dict):
+            raise ConfigError('expected an object with "model" and "hyper" entries')
+        if meta.get("model") not in sorted(FAMILIES):
+            raise ConfigError(f"unknown model {meta.get('model')!r}; choose from {sorted(FAMILIES)}")
+        return meta, FAMILIES[meta["model"]].build(**meta["hyper"])
+    except (ValueError, GradmcError) as exc:  # a JSON or UTF-8 decoding error is a ValueError
+        raise ConfigError(f"{meta_path}: {exc}") from None
 
 
 def _parse_stepsize(entries) -> float | dict:
@@ -179,9 +188,8 @@ def cmd_run(args) -> int:
         if getattr(args, field) in (None, ""):
             raise ConfigError(f"--{field} is required (flag or config file)")
     data_dir = Path(args.data)
-    meta = _load_meta(data_dir)
+    meta, model = _load_meta(data_dir)
     family = FAMILIES[meta["model"]]
-    model = family.build(**meta["hyper"])
     # Adopting keeps the loaded matrix as it is and copies only a bare
     # column out of the parsed table, which is then freed.
     train = Dataset._adopt(load_csv_columns(data_dir / "train.csv"))
@@ -294,7 +302,7 @@ def cmd_run(args) -> int:
 def cmd_kl(args) -> int:
     chain_path = Path(args.chain)
     data_dir = Path(args.data)
-    meta = _load_meta(data_dir)
+    meta, _ = _load_meta(data_dir)
     if meta["model"] != "gaussian":
         raise UnsupportedForKL(
             f"KL reporting needs the gaussian model's analytic posterior, got {meta['model']!r}"

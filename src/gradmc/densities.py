@@ -22,72 +22,59 @@ LOG_2PI = math.log(2.0 * math.pi)
 PROB_CLAMP = 1e-12
 
 
-# Row reductions over a short last axis, bit for bit numpy's own.  numpy
-# reduces a C-contiguous (rows, k) array one row at a time, at about 50 ns a
-# row: on one core of an AVX-512 Xeon with numpy 2.4, x.max(axis=-1) on
-# 12000 x 10 takes about 700 us and np.exp of the same array about 100 us.
-# One elementwise op over a strided column costs about 1 us plus its pass,
-# so for 2 <= k < 16 the helpers run about k column ops instead, once there
-# are enough rows per column for that to pay (measured: 32 for max, 100 for
-# sum).  Wider rows keep numpy's reduce: each column pass then reads every
-# cache line of the array, and measured slower.  So do other layouts, whose
-# order numpy picks differently (it sums an F-ordered array's columns
-# sequentially), and rank-1 input.  The softmax copies class-major instead
-# (graph._softmax); for one sum that copy does not pay (12000 x 10: 77 -> 183 us).
-def _columns(x, rows_per_column):
-    """The columns of x's rows, or None where numpy's own reduce is used."""
+# Row sums over a short last axis, bit for bit numpy's own.  numpy reduces a
+# C-contiguous (rows, k) array one row at a time, at about 50 ns a row: on one
+# core of an AVX-512 Xeon with numpy 2.4, x.max(axis=-1) on 12000 x 10 takes
+# about 700 us and np.exp of the same array about 100 us.  One elementwise op
+# over a strided column costs about 1 us plus its pass, so for 2 <= k < 16
+# _row_sum runs about k column ops instead, from 100 rows per column (measured).
+# Wider rows keep numpy's reduce: each column pass then reads every cache line
+# of the array, and measured slower.  So do other layouts, whose order numpy
+# picks differently (it sums an F-ordered array's columns sequentially), and
+# rank-1 input.  The softmax copies class-major instead (graph._softmax); for
+# one sum that copy does not pay (12000 x 10: 77 -> 183 us).
+def _columns(x):
+    """The columns of x's rows, or None where numpy's own sum is used."""
     k = x.shape[-1] if x.ndim > 1 else 0
-    if not 2 <= k < 16 or not x.flags.c_contiguous or x.size < rows_per_column * k * k:
+    if not 2 <= k < 16 or not x.flags.c_contiguous or x.size < 100 * k * k:
         return None
     return x.reshape(-1, k).T
 
 
-def _settle(out, cols, ok, reduce, shape):
-    """Give the rows not ``ok`` numpy's own result; reshape to keepdims."""
-    if not ok.all():
-        rows = cols.T
-        out[~ok] = reduce(rows[~ok], axis=-1)
-    return out.reshape(shape[:-1] + (1,))
+def _lane_sum(terms):
+    """numpy's pairwise sum of 2 to 15 equal-shaped terms, without its +0.0 start.
 
-
-def _row_max(x):
-    """``x.max(axis=-1, keepdims=True)``, bit for bit."""
-    cols = _columns(x, 32)
-    if cols is None:
-        return x.max(axis=-1, keepdims=True)
-    out = np.maximum(cols[0], cols[1])
-    for col in cols[2:]:
-        np.maximum(out, col, out=out)
-    # A maximum is the same in any order, except which zero wins a +0/-0 tie
-    # and which NaN comes out; numpy compares long rows in SIMD lanes, so
-    # those rows take its own answer.
-    return _settle(out, cols, np.abs(out) > 0.0, np.max, x.shape)
+    Below 8 terms the sum is sequential; from 8 it runs 8 interleaved lanes,
+    adds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then
+    the terms past the block.  Returns a new array.
+    """
+    lanes = 8 if len(terms) >= 8 else 2
+    total = terms[:lanes]
+    while len(total) > 2:
+        total = total[0::2] + total[1::2]
+    total = total[0] + total[1]
+    for term in terms[lanes:]:
+        total += term
+    return total
 
 
 def _row_sum(x):
     """``x.sum(axis=-1, keepdims=True)``, bit for bit.
 
-    numpy adds a row's pairwise sum to a +0.0 start: below 8 terms the sum
-    is sequential, from 8 to 128 it runs 8 interleaved lanes, adds them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the terms
-    past the last full block of 8.  Adding 0.0 anywhere along the way gives
-    the same bits as adding it first: only a zero result's sign depends on
-    it.  Rows that come out NaN take numpy's own answer, as the NaN's sign
-    depends on which operand numpy's compiled loop puts first.
+    numpy adds a row's pairwise sum (``_lane_sum``) to a +0.0 start.  Adding
+    0.0 anywhere along the way gives the same bits as adding it first: only
+    a zero result's sign depends on it.  Rows that come out NaN take numpy's
+    own answer, as the NaN's sign depends on which operand numpy's compiled
+    loop puts first.
     """
-    cols = _columns(x, 100)
+    cols = _columns(x)
     if cols is None:
         return x.sum(axis=-1, keepdims=True)
-    if len(cols) < 8:
-        out, rest = cols[0] + 0.0, cols[1:]
-    else:  # one block of 8 lanes: k < 16
-        out = (cols[0] + cols[1]) + (cols[2] + cols[3])
-        out += (cols[4] + cols[5]) + (cols[6] + cols[7])
-        out += 0.0
-        rest = cols[8:]
-    for col in rest:
-        out += col
-    return _settle(out, cols, ~np.isnan(out), np.sum, x.shape)
+    out = _lane_sum(cols)
+    out += 0.0
+    if (nan := np.isnan(out)).any():
+        out[nan] = np.sum(cols.T[nan], axis=-1)
+    return out.reshape(x.shape[:-1] + (1,))
 
 
 def normal_logpdf(x, mean, sd):

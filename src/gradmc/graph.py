@@ -27,19 +27,21 @@ same IEEE bits as rank-0 arrays, without numpy's array dispatch.  Shapes,
 and which gradients flow where, are decided while emitting.  A gradient plan
 computes only the contributions someone consumes, so data, constants and
 variables nobody asked for cost no backward work, and only the forward
-values its backward steps read, so the objective's own value is never
-computed.  Class labels are checked wherever ``categorical_logpdf`` is
-evaluated or differentiated through, by its forward or its backward; a
-gradient that never reaches it neither reads nor checks them (a chain checks
-its data's labels once).  The rank-0 adjoint of a ``reduce_sum`` is passed
+values its backward steps read or a broadcast takes its shape from, so the
+objective's own value is never computed.  Class labels are checked wherever
+``categorical_logpdf`` is evaluated or differentiated through, by its
+forward or its backward; a gradient that never reaches it neither reads nor
+checks them (a chain checks its data's labels once).  The rank-0 adjoint of a ``reduce_sum`` is passed
 on as it is wherever every term that reads it already has the summed node's
 full shape (the per-row terms of the log densities, for one), through the
 pass-throughs of ``add``/``subtract``/``negate`` to inputs of that shape
 whose own terms do too; it is broadcast only where a term needs the full
 shape from it: a sum into a scalar input, ``matmul``, ``broadcast_add`` and
-a returned gradient.  A backward statement drops a factor that is the rank-0
-constant 1.0 or the seed, and the subtraction of a rank-0 +0.0; an adjoint
-passed on unchanged gets no statement, and the softmax runs class-major.
+a returned gradient.  It is broadcast to the shape of the summed node's
+value, which the plan then computes (no built-in model's plan does).  A
+backward statement drops a factor that is the rank-0 constant 1.0 or the
+seed, and the subtraction of a rank-0 +0.0; an adjoint passed on unchanged
+gets no statement, and the softmax runs class-major.
 The results are the same bits either way.  Every gradient and output
 ``grad`` and ``eval`` return is an array of its own, rank-0 ones included,
 writeable and of its node's declared shape.  Plans never change once built,
@@ -58,7 +60,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import densities
-from .densities import _row_max, _row_sum
+from .densities import _lane_sum, _row_sum
 from .errors import DomainError, MissingFeed, ShapeError, UnknownVariable
 
 __all__ = ["Graph", "GraphBuilder", "NodeRef", "Node", "as_tensor"]
@@ -174,22 +176,20 @@ def _softmax(x):
     From 128 rows of 2 <= k < 16 classes, each step runs over a class-major
     copy: on one core of an AVX-512 Xeon with numpy 2.4, 600 x 10 goes from
     53 to 37 us, 600 x 3 from 23 to 16 us (8-27% faster at 128 rows, up to
-    26% slower at 64).  The sum adds ``_row_sum``'s lanes without its +0.0
-    start (an exp is never -0.0); rows whose sum is NaN take the formula.
+    26% slower at 64).  The sum is ``_lane_sum`` over the classes, which
+    leaves out numpy's +0.0 start (an exp is never -0.0); rows whose sum is
+    NaN take the formula.  Fewer rows, and other layouts and widths, take the
+    formula with ``_row_sum``.
     """
     k = x.shape[-1] if x.ndim > 1 else 0
     if not 2 <= k < 16 or not x.flags.c_contiguous or x.size < 128 * k:
-        e = np.exp(x - _row_max(x))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
         return e / _row_sum(e)
     rows = x.reshape(-1, k)
     ct = rows.T.copy()
     ct -= np.maximum.reduce(ct, 0)
     np.exp(ct, out=ct)
-    lanes = 8 if k >= 8 else 2
-    total = ct[:lanes]
-    while len(total) > 1:
-        total = total[0::2] + total[1::2]
-    total = sum(ct[lanes:], total[0])
+    total = _lane_sum(ct)
     ct /= total
     out = np.ascontiguousarray(ct.T)
     if (nan := np.isnan(total)).any():
@@ -539,10 +539,11 @@ class Graph:
     reads; ``categorical_logpdf``'s backward checks the labels its forward
     would.  A ``reduce_sum`` adjoint stays rank-0 where every term that reads
     it, through any pass-through of ``add``/``subtract``/``negate``, has the
-    summed node's shape anyway, and is broadcast elsewhere.  Plans never
-    change once built, and two threads that race to build one build equal
-    functions, so a graph is shareable across threads without a lock;
-    repeated calls with the same bindings return bit-identical results.
+    summed node's shape anyway, and is broadcast elsewhere, to the shape of
+    the summed node's value.  Plans never change once built, and two threads
+    that race to build one build equal functions, so a graph is shareable
+    across threads without a lock; repeated calls with the same bindings
+    return bit-identical results.
     """
 
     def __init__(self, nodes, variables, placeholders, outputs):
@@ -663,22 +664,19 @@ class Graph:
         reach it through its namespace: identifiers come from node indices.
         """
         nodes = self._nodes
-        feeds = [False] * len(nodes)
-        stack = list(targets)
-        while stack:
-            idx = stack.pop()
-            if not feeds[idx]:
-                feeds[idx] = True
-                stack.extend(nodes[idx].inputs)
-        keep = [False] * len(nodes)  # the value is computed: read or returned
 
-        def keep_value(idx):
-            stack = [idx]
+        def mark(flags, *indices):
+            """Flag the nodes and every node they read."""
+            stack = list(indices)
             while stack:
                 i = stack.pop()
-                if not keep[i]:
-                    keep[i] = True
+                if not flags[i]:
+                    flags[i] = True
                     stack.extend(nodes[i].inputs)
+
+        feeds = [False] * len(nodes)
+        mark(feeds, *targets)
+        keep = [False] * len(nodes)  # the value is computed: read, returned or its shape read
 
         # Which backward contributions run, and what they read.
         backward = []  # (node, op, [(input position, input index, template)]) in reverse order
@@ -704,28 +702,11 @@ class Graph:
                     has_adjoint[i] = True
                 for field in used:
                     if field.isdigit():
-                        keep_value(node.inputs[int(field)])
+                        mark(keep, node.inputs[int(field)])
                     elif field == "y":
-                        keep_value(node.index)
+                        mark(keep, node.index)
         else:
-            for idx in targets:
-                keep_value(idx)
-
-        exact = []  # the runtime shape is the declared one
-        for node in nodes:
-            exact.append(None not in node.shape and all(exact[i] for i in node.inputs))
-
-        def shape_of(idx):
-            """Source for the runtime shape of a node's value, computing the value only if needed."""
-            node = nodes[idx]
-            if exact[idx]:
-                return repr(node.shape)
-            if node.inputs and not keep[idx]:  # leaves are always bound
-                full = [i for i in node.inputs if len(nodes[i].shape) == len(node.shape)]
-                if _OPS[node.op].elementwise and len(full) == 1:
-                    return shape_of(full[0])  # the other inputs are scalars
-                keep_value(idx)
-            return f"v{idx}.shape"
+            mark(keep, *targets)
 
         ns = {
             "_np": np, "_densities": densities, "_sigmoid": _sigmoid, "_softmax": _softmax,
@@ -789,7 +770,8 @@ class Graph:
                     elif op.rows_of_input0 and k and len(nodes[node.inputs[0]].shape) == 2:
                         term = f"_sum({term}, 0)"
                     elif op.sums and nodes[i].shape != () and not full_shaped(i):
-                        term = f"_np.broadcast_to({term}, {shape_of(i)})"
+                        mark(keep, i)  # its value's shape is the one to broadcast to
+                        term = f"_np.broadcast_to({term}, v{i}.shape)"
                     if i in adjoint:
                         grad_lines.append(f"g{i} = {adjoint[i]} + ({term})")
                     elif term.isidentifier():

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,8 +50,9 @@ __all__ = [
 
 
 def _hyper_parameters(build):
-    """Make a builder reject a keyword it does not take with a ConfigError
-    that names the ones it does, instead of Python's bare TypeError."""
+    """Make a builder reject a keyword it does not take, or a value that is
+    not a number, with a ConfigError that names it, instead of Python's bare
+    TypeError."""
     accepted = tuple(inspect.signature(build).parameters)
 
     @functools.wraps(build)
@@ -59,6 +61,9 @@ def _hyper_parameters(build):
         if unknown:
             takes = ", ".join(accepted)
             raise ConfigError(f"{build.__name__} takes no hyper-parameter {unknown}; it takes {takes}")
+        for name, value in hyper.items():
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{build.__name__} hyper-parameter {name!r} must be a number, got {value!r}")
         return build(*args, **hyper)
 
     return checked

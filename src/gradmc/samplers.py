@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -188,11 +189,26 @@ class SamplerConfig:
     def validate(self, param_names) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        # A bool is neither a count nor a real setting; numpy scalars are both.
+        for name in ("n_iters", "trajectory_length", "opt_iters", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    or value is None and name == "opt_iters"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        stepsizes = self.stepsize.values() if isinstance(self.stepsize, Mapping) else [self.stepsize]
+        reals = [("stepsize", eps) for eps in stepsizes] + [
+            (name, getattr(self, name)) for name in ("minibatch_size", "friction", "diffusion", "opt_stepsize")]
+        for name, value in reals:
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    or value is None and name == "opt_stepsize"):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         for name, eps in self.resolved_stepsizes(param_names).items():
             if not 0.0 < eps < math.inf:
                 raise ConfigError(f"stepsize for {name!r} must be positive and finite, got {eps}")
         if not 0.0 < float(self.minibatch_size) < math.inf:
             raise ConfigError("minibatch size must be positive and finite")
+        if self.minibatch_size >= 1 and self.minibatch_size != int(self.minibatch_size):
+            raise ConfigError(f"a minibatch size of 1 or more is a count of rows, got {self.minibatch_size}")
         if self.n_iters < 0:
             raise ConfigError("n_iters must be non-negative")
         if self.trajectory_length < 1:

@@ -528,9 +528,11 @@ SGLD = ["--algorithm", "sgld", "--stepsize", "1e-3", "--n-iters", 5]
     (["--data", "{data}", *SGLD], b"x.1,,x.2\n0,1,2\n", 4, "blank column name"),
     (["--data", "{data}", *SGLD], b"x.1,x.2\n1.0,2.0\n\xff\xfe3.0,4.0\n", 4, "train.csv: not UTF-8 text"),
     (["--data", "{data}", *SGLD], b"x.1,x.\xff\n1.0,2.0\n", 4, "train.csv: not UTF-8 text"),
+    (["--data", "{data}", *SGLD, "--minibatch-size", "2.5"], None, 2,
+     "a minibatch size of 1 or more is a count of rows, got 2.5"),
 ], ids=["no_stepsize", "thin_0", "chains_0", "burnin_negative", "log_loss_without_labels", "no_data",
         "config_line_without_equals", "empty_train_csv", "blank_header_column",
-        "non_utf8_train_row", "non_utf8_train_header"])
+        "non_utf8_train_row", "non_utf8_train_header", "minibatch_size_fraction_above_1"])
 def test_run_input_errors_exit_with_their_code(mixture_data, tmp_path, capsys, argv, train_csv,
                                                code, message):
     data = mixture_data
@@ -547,6 +549,34 @@ def test_run_input_errors_exit_with_their_code(mixture_data, tmp_path, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("meta, message", [
+    (b"{", "Expecting property name"),
+    (b"\xff", "can't decode"),
+    (b"[]", 'expected an object with "model" and "hyper" entries'),
+    (b'{"model": "gaussian"}', 'expected an object with "model" and "hyper" entries'),
+    (b'{"model": "poisson", "hyper": {}}', "unknown model 'poisson'"),
+    (b'{"model": ["gaussian"], "hyper": {}}', "unknown model ['gaussian']"),
+    (b'{"model": "gaussian", "hyper": {"prior_variance": "x"}}',
+     "hyper-parameter 'prior_variance' must be a number, got 'x'"),
+    (b'{"model": "gaussian", "hyper": {"prior_variance": -1}}', "prior variance must be positive"),
+], ids=["not_json", "not_utf8", "list", "no_hyper", "unknown_model", "model_not_a_name",
+        "prior_variance_not_a_number", "prior_variance_negative"])
+def test_malformed_meta_exits_2_naming_the_file(gaussian_data, tmp_path, capsys, meta, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(gaussian_data / "train.csv", data)
+    (data / "meta.json").write_bytes(meta)
+    out = tmp_path / "out"
+    assert run_cli("run", "--data", data, *SGLD, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data / 'meta.json'}: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+    chain = tmp_path / "chain.csv"
+    chain.write_text("iter,theta\n1,0.1\n2,0.2\n")
+    assert run_cli("kl", "--chain", chain, "--data", data) == 2
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("flags, config", [

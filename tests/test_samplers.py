@@ -1198,6 +1198,20 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         SamplerHandle(model, dataset, {"theta": 0.0},
                       SamplerConfig(algorithm="sghmc", stepsize=1e-3, trajectory_length=0))
+    # Counts are integers (not bools), other settings real numbers, and a
+    # minibatch size of 1 or more a whole count of rows.
+    for bad in ({"n_iters": 10.5}, {"n_iters": True}, {"trajectory_length": 2.5}, {"seed": 1.5},
+                {"opt_iters": 2.5}, {"friction": "0.1"}, {"stepsize": "1e-3"}, {"stepsize": {"theta": True}},
+                {"minibatch_size": 2.5}, {"minibatch_size": 3.5}, {"opt_stepsize": "1e-3"}):
+        config = SamplerConfig(**{"algorithm": "sghmccv", "stepsize": 1e-3, "opt_stepsize": 1e-3, **bad})
+        with pytest.raises(ConfigError):
+            SamplerHandle(model, dataset, {"theta": 0.0}, config)
+        with pytest.raises(ConfigError):
+            run_chain(model, dataset, {"theta": 0.0}, config)
+    # numpy scalars are fine, and so is a whole minibatch count given as a float.
+    SamplerHandle(model, dataset, {"theta": 0.0}, SamplerConfig(
+        algorithm="sghmccv", stepsize=np.float32(1e-3), opt_stepsize=1e-3, minibatch_size=3.0,
+        n_iters=np.int64(3), trajectory_length=np.uint8(2), opt_iters=np.int32(2), seed=np.int64(4)))
 
 
 def test_init_validates_a_config_changed_after_construction():

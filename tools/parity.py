@@ -19,6 +19,11 @@ model family:
   ``full_log_posterior_grad``;
 * 48 in-process chains: 4 families x 6 algorithms x a scalar and a
   per-name stepsize, 60 steps each through ``run_chain``;
+* per family, the compiled plan bodies those chains, a full-data pass and an
+  ``eval`` of each output leave in the graph's plan cache, with each chain's
+  bound gradient (``ChainState.gradient``): one digest over each function's
+  ``co_code``, ``co_consts``, ``co_names`` and ``co_varnames``, so an
+  unchanged line means every emitted plan is unchanged;
 * sgld and sghmc chains on a 2087-parameter ``bayes_nn``, whose noise rows
   are drawn 3 to a block, so 12 sgld steps cross 3 block refills and 12
   sghmc steps 23;
@@ -35,9 +40,9 @@ model family:
   run and one ``--chains 3`` run per family (every ``chain.<i>.csv`` and
   ``logloss.<i>.csv``; the manifest without its wall clock and data path).
 
-It uses only the public API and the reserved scale name ``__grad_scale__``,
-so it runs unchanged on older checkouts.  It takes a few seconds on one
-core.  It is not a pytest module.
+It uses only the public API, the reserved scale name ``__grad_scale__`` and
+the plan cache ``Graph._plans``, so it runs unchanged on older checkouts.
+It takes a few seconds on one core.  It is not a pytest module.
 """
 
 from __future__ import annotations
@@ -141,12 +146,22 @@ def gradients(family: str) -> list[str]:
     ]
 
 
+def code_digest(functions) -> str:
+    """SHA-256 over each function's bytecode, constants, names and local names, in order."""
+    digest = hashlib.sha256()
+    for function in functions:
+        code = function.__code__
+        for part in (code.co_code, code.co_consts, code.co_names, code.co_varnames):
+            digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
 def chains(family: str) -> list[str]:
     spec, model, train = family_setup(family)
     init = spec.init_params(model, Rng(6))
     eps = STEPSIZE[family]
     per_name = {name: eps * (1.0 + 0.25 * k) for k, name in enumerate(model.param_names)}
-    lines = []
+    lines, bound = [], []
     for algorithm in ALGORITHMS:
         for label, stepsize in (("scalar", eps), ("per-name", per_name)):
             config = SamplerConfig(algorithm=algorithm, stepsize=stepsize, minibatch_size=20, n_iters=60,
@@ -161,6 +176,14 @@ def chains(family: str) -> list[str]:
             digest.add(out.samples)
             digest.add({"momentum": [] if out.final_state.momentum is None else out.final_state.momentum})
             lines.append(f"chain {family} {algorithm} {label} {digest.hexdigest()}")
+            bound.append(out.final_state.gradient)
+    full_log_posterior_grad(model, train, init)
+    bindings = {**train.entries, **init, SCALE: 1.0}
+    for name in model.graph.outputs:
+        model.graph.eval(bindings, [name])
+    plans = model.graph._plans
+    bodies = [plans[key][1] for key in sorted(plans, key=repr)]
+    lines.append(f"plans {family} {len(bodies)} bodies, {len(bound)} bound {code_digest(bodies + bound)}")
     return lines
 
 
